@@ -174,15 +174,21 @@ type Options struct {
 
 // Peer is one remote replica and its breaker state. All mutable fields
 // are guarded by mu; the hot routing path takes it only for a few loads.
+//
+// Two asynchronous sources set draining: drain notices and probe answers.
+// A probe answer can be older than a notice that lands while the probe is
+// in flight, so every notice bumps drainEpoch, and a probe may set
+// draining only if the epoch it captured when sending is still current.
 type Peer struct {
 	url string
 
-	mu        sync.Mutex
-	state     State
-	draining  bool
-	fails     int
-	lastProbe time.Time
-	lastErr   string
+	mu         sync.Mutex
+	state      State
+	draining   bool
+	drainEpoch uint64
+	fails      int
+	lastProbe  time.Time
+	lastErr    string
 }
 
 // URL returns the peer's base URL.
@@ -203,15 +209,32 @@ func (p *Peer) alive() bool {
 	return p.state != StateDown
 }
 
-// recordSuccess advances the breaker on a successful probe or forward:
-// down peers re-enter half-open, half-open peers are promoted to up.
-// It returns the state transition, if any, for logging.
-func (p *Peer) recordSuccess(draining bool) (from, to State, changed bool) {
+// recordSuccess advances the breaker on a successful probe, forward or
+// install: down peers re-enter half-open, half-open peers are promoted to
+// up. It returns the state transition, if any, for logging. Only probes
+// and notices say whether the peer is draining (see recordProbe).
+func (p *Peer) recordSuccess() (from, to State, changed bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.succeededLocked()
+}
+
+// recordProbe records a probe answer sent at the given drain epoch: it
+// advances the breaker like recordSuccess and adopts the answer's draining
+// flag unless a drain notice has arrived since the probe was sent.
+func (p *Peer) recordProbe(draining bool, epoch uint64) (from, to State, changed bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.lastProbe = time.Now()
+	if epoch == p.drainEpoch {
+		p.draining = draining
+	}
+	return p.succeededLocked()
+}
+
+func (p *Peer) succeededLocked() (from, to State, changed bool) {
 	from = p.state
 	p.fails = 0
-	p.draining = draining
 	p.lastErr = ""
 	switch p.state {
 	case StateDown:
@@ -239,11 +262,20 @@ func (p *Peer) recordFailure(err error, threshold int) (from, to State, changed 
 	return from, p.state, p.state != from
 }
 
-// setDraining applies an explicit drain notice.
+// setDraining applies an explicit drain notice and starts a new drain
+// epoch, so no probe answer sent before the notice can overwrite it.
 func (p *Peer) setDraining(d bool) {
 	p.mu.Lock()
 	p.draining = d
+	p.drainEpoch++
 	p.mu.Unlock()
+}
+
+// currentDrainEpoch returns the drain epoch a probe captures before sending.
+func (p *Peer) currentDrainEpoch() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.drainEpoch
 }
 
 // status snapshots the peer for observability.
@@ -573,6 +605,7 @@ func (c *Cluster) probeAll() {
 // draining node reports readiness, not a failure.
 func (c *Cluster) probe(p *Peer) {
 	c.probes.Add(1)
+	epoch := p.currentDrainEpoch()
 	ctx, cancel := context.WithTimeout(context.Background(), c.opts.ProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.url+HealthPath, nil)
@@ -597,10 +630,7 @@ func (c *Cluster) probe(p *Peer) {
 	// not a dead one — so it leaves rotation without tripping the breaker,
 	// even when the body predates the readiness fields.
 	draining := h.Draining || resp.StatusCode == http.StatusServiceUnavailable
-	p.mu.Lock()
-	p.lastProbe = time.Now()
-	p.mu.Unlock()
-	if from, to, changed := p.recordSuccess(draining); changed {
+	if from, to, changed := p.recordProbe(draining, epoch); changed {
 		c.logger.Info("cluster: peer state", "peer", p.url, "from", from.String(), "to", to.String())
 	}
 }

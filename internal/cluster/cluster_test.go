@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"rpcrank/internal/core"
+	"rpcrank/internal/faultinject"
 	"rpcrank/internal/order"
 	"rpcrank/internal/registry"
 )
@@ -111,7 +112,7 @@ func TestPeerBreakerStateMachine(t *testing.T) {
 		t.Fatal("three consecutive failures must open the breaker")
 	}
 
-	if _, to, changed := p.recordSuccess(false); !changed || to != StateHalfOpen {
+	if _, to, changed := p.recordSuccess(); !changed || to != StateHalfOpen {
 		t.Fatalf("success on a down peer: got state %v, want half-open", to)
 	}
 	if !p.routable() {
@@ -121,18 +122,37 @@ func TestPeerBreakerStateMachine(t *testing.T) {
 		t.Fatalf("one failure in half-open must re-open the breaker, got %v", to)
 	}
 
-	p.recordSuccess(false)
-	if _, to, _ := p.recordSuccess(false); to != StateUp {
+	p.recordSuccess()
+	if _, to, _ := p.recordSuccess(); to != StateUp {
 		t.Fatalf("second success must promote to up, got %v", to)
 	}
 
 	// Draining keeps the peer alive but out of rotation.
-	p.recordSuccess(true)
+	p.recordProbe(true, p.currentDrainEpoch())
 	if p.routable() {
 		t.Fatal("draining peer must leave rotation")
 	}
 	if !p.alive() {
 		t.Fatal("draining peer is alive")
+	}
+
+	// Forwards and installs advance the breaker but never clear draining:
+	// only a probe or a notice says whether the peer is draining.
+	p.recordSuccess()
+	if p.routable() {
+		t.Fatal("a forward success must not put a draining peer back in rotation")
+	}
+
+	// A probe answer sent before a drain notice must not overwrite it.
+	stale := p.currentDrainEpoch()
+	p.setDraining(false)
+	p.recordProbe(true, stale)
+	if !p.routable() {
+		t.Fatal("a probe answer older than the resume notice overwrote it")
+	}
+	p.recordProbe(true, p.currentDrainEpoch())
+	if p.routable() {
+		t.Fatal("a probe sent after the notice must still apply")
 	}
 }
 
@@ -506,6 +526,10 @@ func TestDrainNotice(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// The fake peer always answers "not draining", so a startup probe
+	// still in flight would legitimately clear the notices below. Let it
+	// land first; TestDrainNoticeBeatsInFlightProbe covers the race.
+	waitProbed(t, c.peers[0])
 
 	if up, _ := c.PeerCounts(); up != 1 {
 		t.Fatal("peer must start routable")
@@ -525,5 +549,66 @@ func TestDrainNotice(t *testing.T) {
 	}
 	if snap := c.Snapshot(); snap.DrainNoticesSent != 1 {
 		t.Fatalf("drain_notices_sent = %d, want 1", snap.DrainNoticesSent)
+	}
+}
+
+// waitProbed waits until p has recorded a probe answer.
+func waitProbed(t *testing.T, p *Peer) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		p.mu.Lock()
+		done := !p.lastProbe.IsZero()
+		p.mu.Unlock()
+		if done {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no probe answer recorded within 10s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDrainNoticeBeatsInFlightProbe reproduces the probe/notice race
+// deterministically: a PeerRead latency fault holds the startup probe
+// after the peer has answered "not draining", the drain notice lands
+// while it is held, and the stale answer must not put the peer back in
+// rotation.
+func TestDrainNoticeBeatsInFlightProbe(t *testing.T) {
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		json.NewEncoder(w).Encode(map[string]any{"status": "ok", "draining": false})
+	}))
+	defer peer.Close()
+	faults := faultinject.New(1)
+	faults.Set(faultinject.PointPeerRead, faultinject.Spec{Latency: 200 * time.Millisecond, LatencyProb: 1})
+
+	c, err := New(Options{
+		Self:                "http://self:1",
+		Peers:               []string{peer.URL},
+		Registry:            newTestRegistry(t),
+		ProbeInterval:       time.Hour,
+		AntiEntropyInterval: time.Hour,
+		Faults:              faults,
+		Seed:                1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// The fault counts its firing before it sleeps: once it has fired, the
+	// startup probe holds a "not draining" answer it has yet to record.
+	deadline := time.Now().Add(10 * time.Second)
+	for faults.Fired(faultinject.PointPeerRead) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("startup probe never reached PeerRead")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	c.SetPeerDraining(peer.URL, true)
+	waitProbed(t, c.peers[0])
+	if up, _ := c.PeerCounts(); up != 0 {
+		t.Fatal("a probe answer sent before the drain notice put the peer back in rotation")
 	}
 }

@@ -213,7 +213,7 @@ func (c *Cluster) forwardOnce(w http.ResponseWriter, r *http.Request, p *Peer, b
 		c.peerFailed(p, err)
 		return false, false
 	}
-	p.recordSuccess(false)
+	p.recordSuccess()
 	h := w.Header()
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		h.Set("Content-Type", ct)

@@ -68,7 +68,7 @@ func (c *Cluster) sendInstall(p *Peer, id string, doc []byte) {
 		code := resp.StatusCode
 		drainBody(resp)
 		if code >= 200 && code < 300 {
-			p.recordSuccess(false)
+			p.recordSuccess()
 			c.broadcasts.Add(1)
 			return
 		}

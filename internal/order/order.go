@@ -9,7 +9,6 @@ package order
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"rpcrank/internal/frame"
 )
@@ -109,33 +108,6 @@ func (a Direction) Orient(x []float64) []float64 {
 		out[j] = s * x[j]
 	}
 	return out
-}
-
-// RankFromScores converts scores into 1-based ranks where the highest score
-// gets rank 1 (the paper's convention: Luxembourg is "Order 1"). Ties share
-// the smallest applicable rank position order deterministically by index.
-func RankFromScores(scores []float64) []int {
-	n := len(scores)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(i, j int) bool { return scores[idx[i]] > scores[idx[j]] })
-	ranks := make([]int, n)
-	for pos, i := range idx {
-		ranks[i] = pos + 1
-	}
-	return ranks
-}
-
-// SortByScoreDesc returns the indices of items ordered best-first.
-func SortByScoreDesc(scores []float64) []int {
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(i, j int) bool { return scores[idx[i]] > scores[idx[j]] })
-	return idx
 }
 
 // ValidateRows checks that rows form a non-empty rectangular table of

@@ -14,7 +14,7 @@ import (
 	"rpcrank/internal/registry"
 )
 
-func benchServer(b *testing.B) *Server {
+func benchServer(b testing.TB) *Server {
 	b.Helper()
 	reg, err := registry.Open(b.TempDir(), 0)
 	if err != nil {
@@ -76,44 +76,64 @@ func (d *discardWriter) WriteHeader(code int) { d.status = code }
 // is the data plane's own footprint: pooled body, frame, scores, and
 // response buffers make it independent of the row count.
 func BenchmarkServerScoreBatch(b *testing.B) {
+	benchServeBatch(b, "score", 1, 100, 10_000)
+}
+
+// BenchmarkServerRankBatch is BenchmarkServerScoreBatch for /rank at the
+// sharded size: the same data plane plus ranking the scores into
+// positions and encoding both.
+func BenchmarkServerRankBatch(b *testing.B) {
+	benchServeBatch(b, "rank", 10_000)
+}
+
+// benchServeBatch drives POST /v1/models/bench-v1/{op} through ServeHTTP
+// once per iteration, one sub-benchmark per batch size.
+func benchServeBatch(b *testing.B, op string, sizes ...int) {
 	s := benchServer(b)
 	defer s.Close()
 
-	for _, size := range []int{1, 100, 10_000} {
+	for _, size := range sizes {
 		body, err := json.Marshal(ScoreRequest{Rows: benchRows(size)})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("rows=%d", size), func(b *testing.B) {
-			rb := &replayBody{}
-			req := httptest.NewRequest("POST", "/v1/models/bench-v1/score", nil)
-			req.Header.Set("Content-Type", "application/json")
-			req.ContentLength = int64(len(body))
-			w := &discardWriter{h: make(http.Header)}
-
+			serve := replayer(s, op, body)
 			// One warm-up round trip, checked for correctness outside the
 			// timed loop.
-			rb.r.Reset(body)
-			req.Body = rb
-			s.ServeHTTP(w, req)
-			if w.status != http.StatusOK {
-				b.Fatalf("status %d", w.status)
+			if status := serve(); status != http.StatusOK {
+				b.Fatalf("status %d", status)
 			}
 
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rb.r.Reset(body)
-				req.Body = rb
-				w.status, w.n = http.StatusOK, 0
-				s.ServeHTTP(w, req)
-				if w.status != http.StatusOK {
-					b.Fatalf("status %d", w.status)
+				if status := serve(); status != http.StatusOK {
+					b.Fatalf("status %d", status)
 				}
 			}
 			b.ReportMetric(float64(size)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 		})
+	}
+}
+
+// replayer returns a function that POSTs body to /v1/models/bench-v1/{op}
+// through s.ServeHTTP and returns the response status. It reuses one
+// request, body reader and response writer, so calls add no allocations
+// of their own.
+func replayer(s *Server, op string, body []byte) func() int {
+	rb := &replayBody{}
+	req := httptest.NewRequest("POST", "/v1/models/bench-v1/"+op, nil)
+	req.Header.Set("Content-Type", "application/json")
+	req.ContentLength = int64(len(body))
+	w := &discardWriter{h: make(http.Header)}
+	return func() int {
+		rb.r.Reset(body)
+		req.Body = rb
+		w.status, w.n = http.StatusOK, 0
+		s.ServeHTTP(w, req)
+		return w.status
 	}
 }
 

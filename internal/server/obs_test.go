@@ -95,21 +95,25 @@ func TestSlowRequestLogHasAllStages(t *testing.T) {
 	wantID := resp.Header.Get("X-Request-Id")
 	resp.Body.Close()
 
+	// The access log line is written after the response has gone out, so
+	// the client can see the reply before the line exists: wait for it.
 	var scoreLog map[string]any
-	for _, line := range strings.Split(logBuf.String(), "\n") {
-		if line == "" {
-			continue
+	for deadline := time.Now().Add(5 * time.Second); scoreLog == nil; time.Sleep(time.Millisecond) {
+		for _, line := range strings.Split(logBuf.String(), "\n") {
+			if line == "" {
+				continue
+			}
+			var rec map[string]any
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("non-JSON log line %q: %v", line, err)
+			}
+			if rec["msg"] == "slow request" && rec["route"] == "score" {
+				scoreLog = rec
+			}
 		}
-		var rec map[string]any
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("non-JSON log line %q: %v", line, err)
+		if scoreLog == nil && time.Now().After(deadline) {
+			t.Fatalf("no slow-request log for the score route; log:\n%s", logBuf.String())
 		}
-		if rec["msg"] == "slow request" && rec["route"] == "score" {
-			scoreLog = rec
-		}
-	}
-	if scoreLog == nil {
-		t.Fatalf("no slow-request log for the score route; log:\n%s", logBuf.String())
 	}
 	if scoreLog["level"] != "WARN" {
 		t.Errorf("slow log level = %v, want WARN", scoreLog["level"])

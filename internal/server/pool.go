@@ -136,7 +136,10 @@ func (p *Pool) runTask(t poolTask) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			t.fail.CompareAndSwap(nil, &r)
+			// Box a copy: taking &r itself would move r to the heap on
+			// every shard, panicking or not.
+			v := r
+			t.fail.CompareAndSwap(nil, &v)
 		}
 		if t.tr != nil {
 			t.tr.AddSpan(obs.StageScore, int(t.shard), t0, time.Now())

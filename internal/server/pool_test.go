@@ -2,7 +2,11 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"math"
+	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -166,5 +170,42 @@ func TestScoreFrameCancelMidBatchLeavesScorersClean(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("row %d: pooled rescore %v != serial %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestScoreBatchAllocsIndependentOfGOMAXPROCS pins the 10k-row /score
+// path to one allocation count whatever the worker count: a per-shard
+// allocation (such as a recover value escaping in runTask) would add one
+// per worker. The count is the minimum over several rounds, since a GC
+// that empties the model's scorer pool costs a sporadic recompile, while
+// a per-shard leak shows in every round.
+func TestScoreBatchAllocsIndependentOfGOMAXPROCS(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	body, err := json.Marshal(ScoreRequest{Rows: benchRows(10_000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocsAt := func(procs int) float64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		s := benchServer(t) // sizes its pool from GOMAXPROCS
+		defer s.Close()
+		replay := replayer(s, "score", body)
+		serve := func() {
+			if status := replay(); status != http.StatusOK {
+				t.Fatalf("GOMAXPROCS=%d: status %d", procs, status)
+			}
+		}
+		serve() // warm every pool
+		least := math.Inf(1)
+		for round := 0; round < 3; round++ {
+			least = min(least, testing.AllocsPerRun(10, serve))
+		}
+		return least
+	}
+	one, four := allocsAt(1), allocsAt(4)
+	if one != four {
+		t.Fatalf("10k-row score: %v allocs/op at GOMAXPROCS=1, %v at GOMAXPROCS=4; want equal", one, four)
 	}
 }

@@ -539,22 +539,24 @@ func writeRawJSON(w http.ResponseWriter, b []byte) {
 // bodyPool and respPool recycle request-body and response-encode buffers
 // between score/rank calls; buffers past poolMaxBuf are left for the
 // collector rather than pinned forever. Pooled as *[]byte so Put does not
-// re-box the slice header every time. framePool and scoresPool do the same
-// for the decoded request frame and the score output, which closes the
-// loop: a steady-state batch re-uses one body buffer, one contiguous
-// frame, one score slice, and one response buffer — a handful of
-// allocations per request regardless of row count.
+// re-box the slice header every time. framePool, scoresPool and
+// positionsPool do the same for the decoded request frame, the score
+// output and /rank's positions, which closes the loop: a steady-state
+// batch re-uses one body buffer, one contiguous frame, one score slice,
+// one positions slice and one response buffer — a handful of allocations
+// per request regardless of row count.
 var (
-	bodyPool   sync.Pool
-	respPool   sync.Pool
-	framePool  sync.Pool
-	scoresPool sync.Pool
+	bodyPool      sync.Pool
+	respPool      sync.Pool
+	framePool     sync.Pool
+	scoresPool    sync.Pool
+	positionsPool sync.Pool
 )
 
 const poolMaxBuf = 1 << 20
 
-// poolMaxFrameVals bounds the pooled frame and score buffers (in float64s,
-// 1 MiB of frame backing) just as poolMaxBuf bounds the byte buffers.
+// poolMaxFrameVals bounds the pooled frame, score and positions buffers (in
+// elements, 1 MiB of frame backing) just as poolMaxBuf bounds the byte buffers.
 const poolMaxFrameVals = 1 << 17
 
 func getFrame() *frame.Frame {
@@ -583,6 +585,20 @@ func putScores(s []float64) {
 		return
 	}
 	scoresPool.Put(&s)
+}
+
+func getPositions() []int {
+	if p, ok := positionsPool.Get().(*[]int); ok {
+		return (*p)[:0]
+	}
+	return nil
+}
+
+func putPositions(p []int) {
+	if cap(p) == 0 || cap(p) > poolMaxFrameVals {
+		return
+	}
+	positionsPool.Put(&p)
 }
 
 func getBuf(pool *sync.Pool) []byte {
@@ -1023,7 +1039,8 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer putScores(scores)
-	positions := order.RankFromScores(scores)
+	positions := order.RankInto(getPositions(), scores)
+	defer putPositions(positions)
 	buf := getBuf(&respPool)
 	if b, ok := appendScoreResponse(buf, id, scores, positions); ok {
 		writeRawJSON(w, b)

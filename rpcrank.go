@@ -137,7 +137,10 @@ func KendallTau(a, b []float64) float64 { return order.KendallTau(a, b) }
 // SpearmanRho compares two score vectors by Spearman rank correlation.
 func SpearmanRho(a, b []float64) float64 { return order.SpearmanRho(a, b) }
 
-// RankFromScores converts scores into 1-based positions (1 = best).
+// RankFromScores converts scores into 1-based positions (1 = best), in
+// time linear in len(scores). Tied scores take consecutive positions in
+// index order (the earlier index ranks better), and -0 ties with +0. NaN
+// ranks after every number, NaNs among themselves in index order.
 func RankFromScores(scores []float64) []int { return order.RankFromScores(scores) }
 
 // FeatureReport re-exports the feature-selection attribute report.

@@ -97,6 +97,20 @@ func TestDirectionHelpers(t *testing.T) {
 	}
 }
 
+// TestRankFromScoresTiesAndNaN pins the documented ranking rule: ties in
+// index order, -0 tied with +0, NaN after every number in index order.
+func TestRankFromScoresTiesAndNaN(t *testing.T) {
+	nan := math.NaN()
+	scores := []float64{nan, 0.5, math.Copysign(0, -1), 0.5, nan, 0, math.Inf(-1)}
+	want := []int{6, 1, 3, 2, 7, 4, 5}
+	got := RankFromScores(scores)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("RankFromScores(%v) = %v, want %v", scores, got, want)
+		}
+	}
+}
+
 func TestFitAdvanced(t *testing.T) {
 	rows, _, _ := dataset.BezierCloud(MustDirection(1, 1), 80, 0.02, 56)
 	m, err := Fit(rows, Options{Alpha: MustDirection(1, 1), Degree: 2})
