@@ -622,10 +622,16 @@ func putBuf(pool *sync.Pool, b []byte) {
 // so a forged header cannot allocate beyond the configured request cap.
 // The caller returns the buffer via putBuf (which keeps only buffers up
 // to poolMaxBuf).
+//
+// A pooled buffer too small for the body is dropped, not put back: every
+// request then takes at most one buffer from the pool and returns at most
+// one, so the pool holds no more buffers than there are requests in flight.
+// Putting it back would add a buffer to the pool on every miss, and with
+// bodies of mixed sizes the pool (all of it live heap, and so doubled by the
+// GC's heap goal) would grow for as long as no collection empties it.
 func readBody(r *http.Request, maxBody int64) ([]byte, error) {
 	buf := getBuf(&bodyPool)
 	if n := r.ContentLength; n > 0 && n+1 <= maxBody+2 && int64(cap(buf)) < n+1 {
-		putBuf(&bodyPool, buf)
 		buf = make([]byte, 0, n+1)
 	}
 	for {

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -332,6 +334,34 @@ func TestRequestLimits(t *testing.T) {
 	body := decodeBody[ErrorResponse](t, resp)
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, "limit") {
 		t.Errorf("row limit: status %d, error %q", resp.StatusCode, body.Error)
+	}
+}
+
+// TestReadBodyKeepsPoolAtOneBufferPerRequest checks that a pooled body
+// buffer too small for the next body is dropped rather than put back, so a
+// request returns at most one buffer to the pool. It runs on one P with the
+// collector off, which makes sync.Pool's Get and Put order deterministic.
+func TestReadBodyKeepsPoolAtOneBufferPerRequest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	runtime.GC() // two cycles empty every pool, victims included
+
+	putBuf(&bodyPool, make([]byte, 0, 16))
+	want := strings.Repeat("7", 1000)
+	buf, err := readBody(httptest.NewRequest(http.MethodPost, "/", strings.NewReader(want)), 1<<20)
+	if err != nil || string(buf) != want {
+		t.Fatalf("readBody = %d bytes, %v; want the %d-byte body", len(buf), err, len(want))
+	}
+	putBuf(&bodyPool, buf)
+	if got := getBuf(&bodyPool); cap(got) != cap(buf) {
+		t.Fatalf("pool returned a %d-byte buffer, want the %d-byte one just put", cap(got), cap(buf))
+	}
+	if got := getBuf(&bodyPool); got != nil {
+		t.Fatalf("pool still holds a %d-byte buffer: the short one was put back", cap(got))
 	}
 }
 
