@@ -10,7 +10,9 @@
 //     the benches whose numbers the project actively defends. Pinned
 //     benchmarks also use -pinned-alloc-slack (default 0) in place of
 //     -alloc-slack, so a CI job can loosen the global alloc gate without
-//     loosening the defended ones;
+//     loosening the defended ones. A pinned baseline entry missing from the
+//     run fails too (an unpinned one only warns), so a defended gate cannot
+//     vanish by a rename or a narrowed bench regexp;
 //   - ns/op: every matched benchmark fails beyond -max-ratio (default 2.0,
 //     loose because CI machines differ from the baseline machine).
 //
@@ -277,10 +279,24 @@ func compare(out io.Writer, base Baseline, results map[string]Result, g gates) e
 		fmt.Fprintf(out, "benchguard: %-50s %10.1f ns/op  baseline %10.1f  ratio %5.2f  %6d B/op (baseline %d)  %s\n",
 			name, got.NsPerOp, want.NsPerOp, ratio, got.BytesPerOp, want.BytesPerOp, status)
 	}
+	// A baseline entry the run lacks is a warning, unless it is pinned: a
+	// defended benchmark that silently drops out of the run (renamed,
+	// deleted, or filtered by the bench regexp) would otherwise disable its
+	// gate without anyone noticing.
+	missing := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {
 		if _, ok := results[name]; !ok {
-			fmt.Fprintf(out, "benchguard: %-50s missing from this run\n", name)
+			missing = append(missing, name)
 		}
+	}
+	sort.Strings(missing)
+	for _, name := range missing {
+		if g.pinned != nil && g.pinned.MatchString(name) {
+			fmt.Fprintf(out, "benchguard: %-50s MISSING from this run [pinned]\n", name)
+			failures = append(failures, fmt.Sprintf("%s: pinned baseline benchmark missing from this run", name))
+			continue
+		}
+		fmt.Fprintf(out, "benchguard: %-50s missing from this run\n", name)
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("%d regression(s):\n  %s", len(failures), strings.Join(failures, "\n  "))

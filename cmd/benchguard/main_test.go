@@ -202,3 +202,52 @@ BenchmarkBrandNew 	 100	 99.0 ns/op
 		t.Errorf("expected informational lines:\n%s", out.String())
 	}
 }
+
+// TestCompareMissingBaselineEntries: a baseline benchmark absent from the
+// run only warns when unpinned, but fails when it matches -pinned — a
+// defended gate must not disappear from CI unnoticed.
+func TestCompareMissingBaselineEntries(t *testing.T) {
+	dir := t.TempDir()
+	baseline := filepath.Join(dir, "b.json")
+	full := filepath.Join(dir, "full.txt")
+	if err := os.WriteFile(full, []byte(sampleBench), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-update", "-baseline", baseline, full}, &out); err != nil {
+		t.Fatal(err)
+	}
+	// The run below lacks BenchmarkServerScoreBatch/rows=10000.
+	partial := filepath.Join(dir, "partial.txt")
+	if err := os.WriteFile(partial, []byte("BenchmarkScoreOne \t 100\t 150.0 ns/op\t 0 B/op\t 0 allocs/op\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		pinned  string
+		wantErr bool
+	}{
+		{"unpinned missing warns", "", false},
+		{"other bench pinned, missing warns", "^BenchmarkScoreOne$", false},
+		{"pinned missing fails", "^BenchmarkServerScoreBatch/", true},
+		{"pinned by alternation fails", "^BenchmarkScoreOne$|BenchmarkServerScoreBatch/rows=10000", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := []string{"-baseline", baseline}
+			if tc.pinned != "" {
+				args = append(args, "-pinned", tc.pinned)
+			}
+			out.Reset()
+			err := run(append(args, partial), &out)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("err = %v, wantErr %v\n%s", err, tc.wantErr, out.String())
+			}
+			if !strings.Contains(strings.ToLower(out.String()), "missing from this run") {
+				t.Errorf("missing benchmark not reported:\n%s", out.String())
+			}
+			if tc.wantErr && !strings.Contains(err.Error(), "BenchmarkServerScoreBatch/rows=10000") {
+				t.Errorf("failure does not name the missing pinned bench: %v", err)
+			}
+		})
+	}
+}

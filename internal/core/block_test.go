@@ -141,6 +141,48 @@ func TestProjectBlockEdgeRows(t *testing.T) {
 	if scores[1] != 1 || scores[3] != 1 {
 		t.Fatalf("end-tangent rows scored %v / %v, want exactly 1", scores[1], scores[3])
 	}
+
+	// The same contract on a random monotone cubic, with edge rows
+	// interleaved among interior rows across a block boundary: every third
+	// row sits outward along the start tangent, every third along the end
+	// tangent, so bracket misses land in both blocks and next to rows that
+	// refine.
+	pm := randParityModel(rng, 3, 3, ProjectorNewton)
+	pd := pm.Dim()
+	p0, p1 := pm.Curve.Eval(0), pm.Curve.Eval(1)
+	pder := pm.Curve.Derivative()
+	q0, q1 := pder.Eval(0), pder.Eval(1)
+	const n = projBlockRows + 2
+	mf := frame.New(n, pd)
+	for i := 0; i < n; i++ {
+		for j := 0; j < pd; j++ {
+			switch i % 3 {
+			case 0:
+				mf.Set(i, j, p0[j]-2*q0[j])
+			case 1:
+				mf.Set(i, j, p1[j]+2*q1[j])
+			default:
+				mf.Set(i, j, rng.Float64())
+			}
+		}
+	}
+	peng := newEngine(pm.Curve, pm.opts)
+	blockParityCheck(t, peng, mf)
+	ms := make([]float64, n)
+	mr := make([]float64, n)
+	peng.projectBlock(mf, 0, n, ms, mr)
+	for i := 0; i < n; i++ {
+		switch i % 3 {
+		case 0:
+			if ms[i] != 0 {
+				t.Fatalf("interleaved row %d: start-tangent row scored %.17g, want exactly 0", i, ms[i])
+			}
+		case 1:
+			if ms[i] != 1 {
+				t.Fatalf("interleaved row %d: end-tangent row scored %.17g, want exactly 1", i, ms[i])
+			}
+		}
+	}
 }
 
 // TestProjectBlockBoundarySizes sweeps row counts around the block size so

@@ -48,10 +48,6 @@ type Scorer struct {
 	// (ScoreFrameRange): projBlockRows×Dim, allocated on first batch use so
 	// per-row scorers never pay for it.
 	ub []float64
-
-	// f32 is the float32 serving scratch (score32.go), built lazily on the
-	// first float32 batch; nil on float64-only scorers and models.
-	f32 *f32state
 }
 
 // Compile builds the zero-allocation scorer for m. It is cheap — O(d·k²)

@@ -63,12 +63,10 @@ type engine struct {
 	warmRows int64
 	warmHits int64
 
-	// Lockstep refinement scratch (lockstep.go), embedded by value so the
-	// engine allocation count never changes: ctail serves the cubic Newton
-	// tail, ptail the general-degree and warm tails. scalarTail forces the
-	// per-row refinement path — the test knob the lockstep parity suite
-	// compares against.
-	ctail      cubicTail[float64]
+	// Warm lockstep refinement scratch (lockstep.go), embedded by value so
+	// the engine allocation count never changes. scalarTail forces the
+	// per-row warm refinement path — the reference the warm lane parity
+	// test compares against.
 	ptail      polyTail
 	scalarTail bool
 }
@@ -396,9 +394,7 @@ func cubicNewtonKernel(c0, c1, c2, c3, c4, c5, c6 float64, cells int, wantDist b
 // block-batched seeder calls it directly, having found bestI through the
 // shared GEMM and re-evaluated bestV with the scan's own Estrin expression —
 // the split is pure extraction, so the per-row kernel's results are
-// unchanged bit for bit. The classification and parabolic seed live in
-// cubicSeedBracket (lockstep.go), shared with the lockstep tail; the Newton
-// loop body below must stay in sync with cubicTail.drain.
+// unchanged bit for bit.
 func cubicNewtonFromSeed(c0, c1, c2, c3, c4, c5, c6 float64, cells, bestI int, bestV float64, wantDist bool) (float64, float64) {
 	s, lo, hi, refine := cubicSeedBracket(c0, c1, c2, c3, c4, c5, c6, cells, bestI, bestV)
 	if !refine {
@@ -449,6 +445,49 @@ func cubicNewtonFromSeed(c0, c1, c2, c3, c4, c5, c6 float64, cells, bestI int, b
 	}
 	t := s - origin
 	return s, nonNeg((((((c6*t+c5)*t+c4)*t+c3)*t+c2)*t+c1)*t + c0)
+}
+
+// cubicSeedBracket is the pre-loop of cubicNewtonFromSeed: bracket
+// classification by the sign of D′ at the bracket ends, then parabolic
+// sharpening of the Newton start through the best grid sample and its
+// neighbours. refine=false reports a bracket miss — the caller publishes
+// start (= the seed node's parameter) with value bestV and skips
+// refinement, so edge rows land on exact grid parameters, 0 and 1 included.
+func cubicSeedBracket(c0, c1, c2, c3, c4, c5, c6 float64, cells, bestI int, bestV float64) (start, lo, hi float64, refine bool) {
+	b0, b1, b2, b3, b4, b5 := c1, 2*c2, 3*c3, 4*c4, 5*c5, 6*c6
+	const origin = bezier.DistPolyOrigin
+	h := 1 / float64(cells)
+	lo = float64(bestI-1) * h
+	hi = float64(bestI+1) * h
+	if lo < 0 {
+		lo = 0
+	}
+	if hi > 1 {
+		hi = 1
+	}
+	s0 := float64(bestI) * h
+
+	tl := lo - origin
+	th := hi - origin
+	ga := ((((b5*tl+b4)*tl+b3)*tl+b2)*tl+b1)*tl + b0
+	gb := ((((b5*th+b4)*th+b3)*th+b2)*th+b1)*th + b0
+	if !(ga <= 0 && gb >= 0) {
+		return s0, lo, hi, false
+	}
+
+	// Parabolic seed through (lo, s0, hi): two extra profile evaluations
+	// buy a Newton start ~h² from the root instead of ~h.
+	start = s0
+	if lo < s0 && s0 < hi {
+		vl := (((((c6*tl+c5)*tl+c4)*tl+c3)*tl+c2)*tl+c1)*tl + c0
+		vh := (((((c6*th+c5)*th+c4)*th+c3)*th+c2)*th+c1)*th + c0
+		if den := vl - 2*bestV + vh; den > 0 {
+			if off := 0.5 * h * (vl - vh) / den; off > -h && off < h {
+				start = s0 + off
+			}
+		}
+	}
+	return start, lo, hi, true
 }
 
 // projectBlock projects frame rows [lo, hi), writing scores[i] (and
@@ -568,23 +607,12 @@ func (e *engine) projectBlockPacked(data []float64, nrows int, scores, resid []f
 		if profile {
 			st.set(st.refine)
 		}
-		// The Newton projector hands the whole block to the lockstep tail,
-		// which advances up to laneWidth rows per iteration; quintic and the
-		// scalarTail parity knob keep the one-row-at-a-time path.
-		if e.kind == ProjectorNewton && !e.scalarTail {
-			if len(e.dc) == 7 {
-				e.refineCubicBlock(data, d, b0, bn, scores, resid)
-			} else {
-				e.refinePolyBlock(data, d, b0, bn, scores, resid)
-			}
-		} else {
-			for r := 0; r < bn; r++ {
-				i := b0 + r
-				s, dist := e.projectRowSeeded(data[i*d:i*d+d], e.seeds[r], resid != nil)
-				scores[i] = s
-				if resid != nil {
-					resid[i] = dist
-				}
+		for r := 0; r < bn; r++ {
+			i := b0 + r
+			s, dist := e.projectRowSeeded(data[i*d:i*d+d], e.seeds[r], resid != nil)
+			scores[i] = s
+			if resid != nil {
+				resid[i] = dist
 			}
 		}
 		if timing {

@@ -7,36 +7,36 @@ import (
 	"rpcrank/internal/frame"
 )
 
-// This file holds the lockstep refinement tail: the safeguarded-Newton
-// refinement restructured from one-row-at-a-time into a structure-of-arrays
-// kernel that advances laneWidth rows per step. After the block seeder picks
-// each row's grid node, the rows that survive bracket classification are
-// gathered — profile coefficients, Newton start, sign bracket — into
-// contiguous lanes, and one lockstep step performs the polynomial
-// evaluations for every lane back to back. Each lane's Newton iteration is a
-// long serial dependency chain (evaluate D′, divide, compare); interleaving
-// eight independent chains lets the CPU overlap them, which is where the
-// speedup comes from — the arithmetic per row is exactly the scalar
-// kernel's.
+// This file holds the lockstep warm refinement tail: the fit's
+// warm-started safeguarded-Newton refinement restructured from
+// one-row-at-a-time into a structure-of-arrays kernel that advances
+// laneWidth rows per step. Each row whose previous score still sits in a
+// validated basin is gathered — profile derivatives, Newton start, sign
+// bracket — into contiguous lanes, and one lockstep step performs the
+// polynomial evaluations for every lane back to back. Each lane's Newton
+// iteration is a long serial dependency chain (evaluate D′, divide,
+// compare); interleaving eight independent chains lets the CPU overlap
+// them, which is where the speedup comes from — the arithmetic per row is
+// exactly the scalar kernel's. Cold projections (serving, and the fit's
+// cold passes) refine per row through projectRowSeeded: interleaved A/B
+// runs showed lanes lose or tie there, and win only on the warm sweeps.
 //
-// Bit-stability invariants (pinned by the lockstep parity tests):
+// Bit-stability invariants (pinned by TestLockstepWarmMatchesScalarTail):
 //
 //   - Lanes never interact arithmetically: a lane reads and writes only its
 //     own row's state, so retire/backfill order, lane placement, and block
 //     boundaries cannot change any row's result. A row refined in a lane is
 //     bit-identical to the same row refined alone.
-//   - Every expression is the scalar path's expression: the cubic lanes run
-//     cubicNewtonFromSeed's Estrin forms and 1e-13 step stop, the general
-//     lanes run newtonRefine's Horner forms and exact-fixpoint stop, and
-//     classification/seeding happen per row through the shared scalar
-//     helpers (cubicSeedBracket, bezier.EvalPoly) before any lane is filled.
+//   - Every expression is the scalar path's expression: the lanes run
+//     newtonRefine's Horner forms and exact-fixpoint stop, and basin
+//     classification happens per row through projectWarm's arithmetic
+//     before any lane is filled.
 //   - Rows the lockstep kernel cannot express — quintic models, engines
-//     with the scalarTail test knob set — take the existing per-row path.
+//     with the scalarTail test knob set — take the per-row projectWarm path.
 //
-// The scratch lives by value inside the engine (cubicTail/polyTail fields):
-// engines get bigger, but the allocation count of every serving and fit
-// path stays exactly what it was, which the zero-alloc-slack benchguard
-// contract depends on.
+// The scratch lives by value inside the engine (the ptail field): engines
+// get bigger, but the allocation count of every fit path stays exactly
+// what it was, which the zero-alloc-slack benchguard contract depends on.
 
 const (
 	// laneWidth is how many rows advance together through one lockstep
@@ -52,174 +52,6 @@ const (
 	pd2Len = maxProfLen - 2
 )
 
-// lanef is the element type of a lane-typed kernel: the float64 serving and
-// fit tails and the float32 serving mode instantiate the same code.
-type lanef interface{ ~float32 | ~float64 }
-
-// cubicSeedBracket is the shared pre-loop of the cubic refinement kernel:
-// bracket classification by the sign of D′ at the bracket ends, then
-// parabolic sharpening of the Newton start through the best grid sample and
-// its neighbours. refine=false reports a bracket miss — the caller publishes
-// start (= the seed node's parameter) with value bestV and skips refinement,
-// exactly the scalar kernel's edge-row behaviour. Extracted from
-// cubicNewtonFromSeed so the scalar and lockstep tails share one copy of
-// this arithmetic; the float32 serving mode instantiates it at float32.
-func cubicSeedBracket[F lanef](c0, c1, c2, c3, c4, c5, c6 F, cells, bestI int, bestV F) (start, lo, hi F, refine bool) {
-	b0, b1, b2, b3, b4, b5 := c1, 2*c2, 3*c3, 4*c4, 5*c5, 6*c6
-	origin := F(bezier.DistPolyOrigin)
-	h := 1 / F(cells)
-	lo = F(bestI-1) * h
-	hi = F(bestI+1) * h
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	s0 := F(bestI) * h
-
-	tl := lo - origin
-	th := hi - origin
-	ga := ((((b5*tl+b4)*tl+b3)*tl+b2)*tl+b1)*tl + b0
-	gb := ((((b5*th+b4)*th+b3)*th+b2)*th+b1)*th + b0
-	if !(ga <= 0 && gb >= 0) {
-		return s0, lo, hi, false
-	}
-
-	// Parabolic seed through (lo, s0, hi): two extra profile evaluations
-	// buy a Newton start ~h² from the root instead of ~h.
-	start = s0
-	if lo < s0 && s0 < hi {
-		vl := (((((c6*tl+c5)*tl+c4)*tl+c3)*tl+c2)*tl+c1)*tl + c0
-		vh := (((((c6*th+c5)*th+c4)*th+c3)*th+c2)*th+c1)*th + c0
-		if den := vl - 2*bestV + vh; den > 0 {
-			if off := 0.5 * h * (vl - vh) / den; off > -h && off < h {
-				start = s0 + off
-			}
-		}
-	}
-	return start, lo, hi, true
-}
-
-// cubicTail is the SoA pending/lane store of the cubic lockstep kernel:
-// phase one (per-row collapse + classification) pushes survivors here, and
-// drain retires them through the lockstep Newton loop. Lane-typed — the
-// float32 serving mode uses the same kernel at float32 with a looser stop.
-type cubicTail[F lanef] struct {
-	pc       [projBlockRows * 7]F // collapsed profiles, row-major
-	ps       [projBlockRows]F     // Newton start (parabola-sharpened)
-	pa, pb   [projBlockRows]F     // sign bracket at entry
-	pres     [projBlockRows]F     // refined s (set by drain)
-	pdist    [projBlockRows]F     // D(refined s), unclamped (wantDist only)
-	pra, prb [projBlockRows]F     // bracket at retirement (float32 polish reads it)
-	prow     [projBlockRows]int32 // caller's row index
-	n        int
-}
-
-// push enqueues one classified row for lockstep refinement.
-func (rt *cubicTail[F]) push(c []F, start, lo, hi F, row int32) {
-	p := rt.n
-	rt.n++
-	copy(rt.pc[p*7:p*7+7], c)
-	rt.ps[p], rt.pa[p], rt.pb[p] = start, lo, hi
-	rt.prow[p] = row
-}
-
-// drain refines every pending row, laneWidth at a time. The loop body is
-// cubicNewtonFromSeed's safeguarded-Newton iteration verbatim — Estrin
-// evaluation of D′/D″ on a shared t², bisection safeguard, retirement on a
-// zero derivative, a step below stop, or 80 iterations — run once per lane
-// per round; the eight bodies are independent chains the CPU overlaps.
-// Retired lanes are backfilled from the pending queue until it runs dry.
-// This generic version keeps the scalar control flow and serves the float32
-// lanes; the float64 hot path goes through drainCubic64, which replaces the
-// data-dependent branches with bit-mask selects (interleaving eight
-// unrelated iteration streams makes those branches unpredictable, and the
-// mispredicts would eat the lockstep win).
-func (rt *cubicTail[F]) drain(stop F, wantDist bool) {
-	n := rt.n
-	if n == 0 {
-		return
-	}
-	origin := F(bezier.DistPolyOrigin)
-	var b0, b1, b2, b3, b4, b5 [laneWidth]F // D′ coefficients per lane
-	var e0, e1, e2, e3, e4 [laneWidth]F     // D″ coefficients per lane
-	var ls, la, lb [laneWidth]F             // s and bracket per lane
-	var it [laneWidth]int32
-	var pi [laneWidth]int32 // pending index per lane, -1 when idle
-	for l := range pi {
-		pi[l] = -1
-	}
-	active, next := 0, 0
-	for {
-		if active < laneWidth && next < n {
-			for l := 0; l < laneWidth; l++ {
-				if pi[l] >= 0 || next >= n {
-					continue
-				}
-				p := next
-				next++
-				cc := rt.pc[p*7 : p*7+7]
-				// D′ and D″ derived exactly as the scalar kernel derives
-				// them (same multiplies, same order).
-				b0[l], b1[l], b2[l], b3[l], b4[l], b5[l] = cc[1], 2*cc[2], 3*cc[3], 4*cc[4], 5*cc[5], 6*cc[6]
-				e0[l], e1[l], e2[l], e3[l], e4[l] = b1[l], 2*b2[l], 3*b3[l], 4*b4[l], 5*b5[l]
-				ls[l], la[l], lb[l] = rt.ps[p], rt.pa[p], rt.pb[p]
-				it[l] = 0
-				pi[l] = int32(p)
-				active++
-			}
-		}
-		if active == 0 {
-			return
-		}
-		// One fused pass per round: each lane runs one full safeguarded-Newton
-		// step — the scalar loop body on lane-local scalars — and the eight
-		// bodies are independent chains the CPU overlaps across the l loop.
-		for l := 0; l < laneWidth; l++ {
-			if pi[l] < 0 {
-				continue
-			}
-			s, a, b := ls[l], la[l], lb[l]
-			t := s - origin
-			t2 := t * t
-			g := (b0[l] + b1[l]*t) + t2*((b2[l]+b3[l]*t)+t2*(b4[l]+b5[l]*t))
-			done := false
-			if g == 0 {
-				done = true
-			} else {
-				if g < 0 {
-					a = s
-				} else {
-					b = s
-				}
-				h := (e0[l] + e1[l]*t) + t2*((e2[l]+e3[l]*t)+t2*e4[l])
-				nt := s - g/h
-				if !(nt > a && nt < b) {
-					nt = 0.5 * (a + b)
-				}
-				d := nt - s
-				s = nt
-				ls[l], la[l], lb[l] = s, a, b
-				it[l]++
-				done = (d < stop && d > -stop) || it[l] >= 80
-			}
-			if done {
-				p := pi[l]
-				rt.pres[p] = s
-				rt.pra[p], rt.prb[p] = a, b
-				if wantDist {
-					cc := rt.pc[p*7 : p*7+7]
-					tf := s - origin
-					rt.pdist[p] = (((((cc[6]*tf+cc[5])*tf+cc[4])*tf+cc[3])*tf+cc[2])*tf+cc[1])*tf + cc[0]
-				}
-				pi[l] = -1
-				active--
-			}
-		}
-	}
-}
-
 // b2u converts a bool to 0/1 without a branch (the compiler lowers the
 // conditional to a flags-register read), for building full-width selection
 // masks from exact float comparisons.
@@ -230,107 +62,11 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// drainCubic64 is cubicTail[float64].drain with the three data-dependent
-// branches of the Newton body — bracket side, bisection safeguard,
-// step-size stop — rewritten as bit-mask selects. The selects pick between
-// exactly the values the scalar branches would have picked (the comparisons
-// themselves are unchanged, NaN and signed-zero semantics included), so
-// results stay bit-identical; what changes is that eight interleaved
-// iteration streams no longer feed three unpredictable branches per step.
-func drainCubic64(rt *cubicTail[float64], stop float64, wantDist bool) {
-	n := rt.n
-	if n == 0 {
-		return
-	}
-	const origin = bezier.DistPolyOrigin
-	const signMask = 1 << 63
-	var b0, b1, b2, b3, b4, b5 [laneWidth]float64
-	var e0, e1, e2, e3, e4 [laneWidth]float64
-	var ls, la, lb [laneWidth]float64
-	var it [laneWidth]int32
-	var pi [laneWidth]int32
-	for l := range pi {
-		pi[l] = -1
-	}
-	active, next := 0, 0
-	for {
-		if active < laneWidth && next < n {
-			for l := 0; l < laneWidth; l++ {
-				if pi[l] >= 0 || next >= n {
-					continue
-				}
-				p := next
-				next++
-				cc := rt.pc[p*7 : p*7+7]
-				b0[l], b1[l], b2[l], b3[l], b4[l], b5[l] = cc[1], 2*cc[2], 3*cc[3], 4*cc[4], 5*cc[5], 6*cc[6]
-				e0[l], e1[l], e2[l], e3[l], e4[l] = b1[l], 2*b2[l], 3*b3[l], 4*b4[l], 5*b5[l]
-				ls[l], la[l], lb[l] = rt.ps[p], rt.pa[p], rt.pb[p]
-				it[l] = 0
-				pi[l] = int32(p)
-				active++
-			}
-		}
-		if active == 0 {
-			return
-		}
-		for l := 0; l < laneWidth; l++ {
-			if pi[l] < 0 {
-				continue
-			}
-			s, a, b := ls[l], la[l], lb[l]
-			t := s - origin
-			t2 := t * t
-			g := (b0[l] + b1[l]*t) + t2*((b2[l]+b3[l]*t)+t2*(b4[l]+b5[l]*t))
-			retire := false
-			if g == 0 {
-				// Exact stationary point: retire with s and the bracket as
-				// they stand (the scalar loop breaks before updating either).
-				retire = true
-			} else {
-				// Bracket side. After the g == 0 check, g < 0 is exactly the
-				// sign bit, so the select mask is the sign extended to width.
-				sb := math.Float64bits(s)
-				m := uint64(int64(math.Float64bits(g)) >> 63)
-				a = math.Float64frombits(math.Float64bits(a)&^m | sb&m)
-				b = math.Float64frombits(math.Float64bits(b)&m | sb&^m)
-				h := (e0[l] + e1[l]*t) + t2*((e2[l]+e3[l]*t)+t2*e4[l])
-				nt := s - g/h
-				// Safeguard: the same strict in-bracket comparisons, reduced
-				// to a mask; mid is computed unconditionally and discarded
-				// when the Newton step stands.
-				mid := 0.5 * (a + b)
-				in := -(b2u(nt > a) & b2u(nt < b))
-				nt = math.Float64frombits(math.Float64bits(nt)&in | math.Float64bits(mid)&^in)
-				d := nt - s
-				s = nt
-				ls[l], la[l], lb[l] = s, a, b
-				it[l]++
-				// |d| < stop matches d < stop && d > -stop exactly (NaN
-				// stays out either way), as one predictable comparison.
-				ad := math.Float64frombits(math.Float64bits(d) &^ signMask)
-				retire = ad < stop || it[l] >= 80
-			}
-			if retire {
-				p := pi[l]
-				rt.pres[p] = s
-				rt.pra[p], rt.prb[p] = a, b
-				if wantDist {
-					cc := rt.pc[p*7 : p*7+7]
-					tf := s - origin
-					rt.pdist[p] = (((((cc[6]*tf+cc[5])*tf+cc[4])*tf+cc[3])*tf+cc[2])*tf+cc[1])*tf + cc[0]
-				}
-				pi[l] = -1
-				active--
-			}
-		}
-	}
-}
-
-// polyTail is the general-degree twin of cubicTail, sized for the largest
-// supported profile. It backs both the cold Newton tail at non-cubic degree
-// and the warm-started fit tail (any grid-seeded projector — the warm
-// refinement is newtonRefine whatever the cold strategy is). float64 only:
-// the float32 serving mode is cubic-Newton only.
+// polyTail is the SoA pending/lane store of the warm lockstep tail, sized
+// for the largest supported profile. It serves only the warm-started fit
+// refinement (any grid-seeded projector — the warm refinement is
+// newtonRefine whatever the cold strategy is): projectWarmBlock pushes the
+// rows with a validated basin here, and drain retires them.
 type polyTail struct {
 	pc     [projBlockRows * maxProfLen]float64
 	pd1    [projBlockRows * pd1Len]float64
@@ -344,20 +80,15 @@ type polyTail struct {
 	n      int
 }
 
-// evalPoly6 and evalPoly5 are bezier.EvalPoly's generic ascending-Horner
-// loop unrolled for the derivative lengths of a cubic model's profile
-// (len(d1c) = 6, len(d2c) = 5). The generic loop starts from a zero
-// accumulator, and its first step 0·t + c_top is exactly c_top for every
-// finite t (signed zeros included), so these straight-line forms return the
-// same bits with no call or loop overhead.
+// evalPoly6 is bezier.EvalPoly's generic ascending-Horner loop unrolled
+// for the first-derivative length of a cubic model's profile (len(d1c) = 6).
+// The generic loop starts from a zero accumulator, and its first step
+// 0·t + c_top is exactly c_top for every finite t (signed zeros included),
+// so this straight-line form returns the same bits with no call or loop
+// overhead.
 func evalPoly6(c []float64, t float64) float64 {
 	_ = c[5]
 	return ((((c[5]*t+c[4])*t+c[3])*t+c[2])*t+c[1])*t + c[0]
-}
-
-func evalPoly5(c []float64, t float64) float64 {
-	_ = c[4]
-	return (((c[4]*t+c[3])*t+c[2])*t+c[1])*t + c[0]
 }
 
 // evalPoly7 is bezier.EvalPoly's len == 7 fast path verbatim; EvalPoly has a
@@ -375,8 +106,8 @@ func evalPoly7(c []float64, t float64) float64 {
 // m is the profile length 2·degree+1; all pending rows share it (one model
 // per block). The retirement distance is evaluated through bezier.EvalPoly
 // itself so the degree-dependent unrolling decisions match the scalar path
-// bit for bit. Cubic profiles — the default-degree reality on both the fit
-// and serving paths — take the drain7 specialisation.
+// bit for bit. Cubic profiles — the default-degree reality of the fit —
+// take the drain7 specialisation.
 func (rt *polyTail) drain(m int, wantDist bool) {
 	if m == 7 {
 		rt.drain7(wantDist)
@@ -439,9 +170,14 @@ func (rt *polyTail) drain(m int, wantDist bool) {
 				for q := m2 - 1; q >= 0; q-- {
 					h = h*t + c2[q]
 				}
-				// Bracket side and bisection safeguard as bit-mask selects —
-				// same comparisons, no data-dependent branches (see
-				// drainCubic64 for why).
+				// Bracket side and bisection safeguard as bit-mask selects.
+				// The selects pick exactly the values the scalar branches
+				// would (same comparisons, NaN and signed-zero semantics
+				// included); eight interleaved iteration streams would make
+				// those branches unpredictable, and the mispredicts would
+				// eat the lockstep win. After the g == 0 check, g < 0 is
+				// exactly the sign bit, so the bracket mask is the sign
+				// extended to width.
 				sb := math.Float64bits(s)
 				msk := uint64(int64(math.Float64bits(g)) >> 63)
 				a := math.Float64frombits(math.Float64bits(la[l])&^msk | sb&msk)
@@ -472,8 +208,8 @@ func (rt *polyTail) drain(m int, wantDist bool) {
 }
 
 // drain7 is drain specialised to m == 7: the D′ and D″ Horner walks are
-// unrolled (evalPoly6/evalPoly5's straight-line forms of the same generic
-// loop) and each lane's eleven derivative coefficients are staged into lane
+// unrolled (straight-line forms of the same generic loop, as in evalPoly6)
+// and each lane's eleven derivative coefficients are staged into lane
 // arrays at fill time. The variable-bound loops of the generic drain cost
 // more in loop overhead than in arithmetic at this length — the unrolled
 // bodies are small enough that the out-of-order window covers several lanes
@@ -558,110 +294,13 @@ func (rt *polyTail) drain7(wantDist bool) {
 
 // fillDerivsInto derives the first- and second-derivative coefficient rows
 // of the profile dc into d1 and d2 — engine.fillDerivatives over caller
-// buffers, so the lockstep phases can prepare pending rows in place.
+// buffers, so projectWarmBlock can prepare pending rows in place.
 func fillDerivsInto(dc, d1, d2 []float64) {
 	for c := 1; c < len(dc); c++ {
 		d1[c-1] = float64(c) * dc[c]
 	}
 	for c := 1; c < len(d1); c++ {
 		d2[c-1] = float64(c) * d1[c]
-	}
-}
-
-// refineCubicBlock is the lockstep refinement tail over one seeded block of
-// packed rows for the cubic Newton kernel: per row it collapses the profile
-// straight into the next pending slot, re-evaluates the seed node with the
-// grid scan's Estrin expression, and classifies the bracket through
-// cubicSeedBracket — bracket misses publish the seed node immediately (edge
-// rows land on exact grid parameters, 0 and 1 included) and release the
-// slot — then drains the survivors through the cubic lanes.
-func (e *engine) refineCubicBlock(data []float64, dim, base, bn int, scores, resid []float64) {
-	const origin = bezier.DistPolyOrigin
-	rt := &e.ctail
-	rt.n = 0
-	h := 1 / float64(e.cells)
-	wantDist := resid != nil
-	for r := 0; r < bn; r++ {
-		i := base + r
-		p := rt.n
-		c := rt.pc[p*7 : p*7+7]
-		e.comp.DistPolyInto(c, data[i*dim:i*dim+dim])
-		bestI := e.seeds[r]
-		t := float64(bestI)*h - origin
-		t2 := t * t
-		bestV := (c[0] + c[1]*t) + t2*((c[2]+c[3]*t)+t2*((c[4]+c[5]*t)+t2*c[6]))
-		start, lo, hi, refine := cubicSeedBracket(c[0], c[1], c[2], c[3], c[4], c[5], c[6], e.cells, bestI, bestV)
-		if !refine {
-			scores[i] = start
-			if wantDist {
-				resid[i] = nonNeg(bestV)
-			}
-			continue
-		}
-		rt.ps[p], rt.pa[p], rt.pb[p] = start, lo, hi
-		rt.prow[p] = int32(i)
-		rt.n++
-	}
-	drainCubic64(rt, 1e-13, wantDist)
-	for p := 0; p < rt.n; p++ {
-		i := int(rt.prow[p])
-		scores[i] = rt.pres[p]
-		if wantDist {
-			resid[i] = nonNeg(rt.pdist[p])
-		}
-	}
-}
-
-// refinePolyBlock is refineCubicBlock for the general-degree Newton tail:
-// per-row collapse, derivative fill, and refineSeed's classification, with
-// the survivors drained through the general lanes under newtonRefine's
-// iteration.
-func (e *engine) refinePolyBlock(data []float64, dim, base, bn int, scores, resid []float64) {
-	const origin = bezier.DistPolyOrigin
-	m := len(e.dc)
-	rt := &e.ptail
-	rt.n = 0
-	h := 1 / float64(e.cells)
-	wantDist := resid != nil
-	for r := 0; r < bn; r++ {
-		i := base + r
-		p := rt.n
-		pc := rt.pc[p*maxProfLen : p*maxProfLen+m]
-		p1 := rt.pd1[p*pd1Len : p*pd1Len+m-1]
-		p2 := rt.pd2[p*pd2Len : p*pd2Len+m-2]
-		e.comp.DistPolyInto(pc, data[i*dim:i*dim+dim])
-		fillDerivsInto(pc, p1, p2)
-		bestI := e.seeds[r]
-		s0 := float64(bestI) * h
-		bestV := bezier.EvalPoly(pc, s0-origin)
-		lo := float64(bestI-1) * h
-		hi := float64(bestI+1) * h
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > 1 {
-			hi = 1
-		}
-		ga := bezier.EvalPoly(p1, lo-origin)
-		gb := bezier.EvalPoly(p1, hi-origin)
-		if !(ga <= 0 && gb >= 0) {
-			scores[i] = s0
-			if wantDist {
-				resid[i] = nonNeg(bestV)
-			}
-			continue
-		}
-		rt.ps[p], rt.pa[p], rt.pb[p] = s0, lo, hi
-		rt.prow[p] = int32(i)
-		rt.n++
-	}
-	rt.drain(m, wantDist)
-	for p := 0; p < rt.n; p++ {
-		i := int(rt.prow[p])
-		scores[i] = rt.pres[p]
-		if wantDist {
-			resid[i] = nonNeg(rt.pdist[p])
-		}
 	}
 }
 

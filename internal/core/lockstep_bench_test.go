@@ -1,21 +1,25 @@
 package core
 
-// Benchmarks of the lockstep refinement tail against the per-row scalar
-// tail it replaced, isolated from seeding: every variant refines the same
-// pre-seeded blocks, so the delta is the refinement kernel alone.
+// Benchmark of the lockstep warm refinement tail against the per-row
+// projectWarm loop it replaces: both variants refine the same frame from
+// the same warm seeds, so the delta is the refinement kernel alone.
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"rpcrank/internal/frame"
 	"rpcrank/internal/order"
 )
 
-// refineBenchSetup fits a model over a monotone cloud and returns an engine
-// plus the packed normalised rows and their per-block seed indices, ready
-// for repeated refinement runs.
-func refineBenchSetup(b *testing.B, deg, dim int, n int) (*engine, []float64, [][]int) {
+// refineBenchSetup fits a model over a monotone cloud and returns the
+// lockstep engine, its scalar-tail twin, the normalised rows, and warm
+// seeds for them: each row's converged score nudged by an eighth of the
+// grid spacing, alternating in sign, so Newton takes the few steps a fit
+// iteration's small curve move asks of it while the basin check still
+// holds.
+func refineBenchSetup(b *testing.B, deg, dim int, n int) (lock, scalar *engine, u *frame.Frame, warm []float64) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(int64(97 + deg*10 + dim)))
 	signs := make([]float64, dim)
@@ -30,30 +34,30 @@ func refineBenchSetup(b *testing.B, deg, dim int, n int) (*engine, []float64, []
 	}
 	opts := m.opts.withDefaults()
 	opts.Projector = ProjectorNewton
-	eng := newEngine(m.Curve, opts)
-	data := m.data.Block(0, n)
-	// Seed every block once through the block seeder; the benchmark loop
-	// restores these indices instead of re-scanning the grid.
-	scores := make([]float64, n)
+	lock = newEngine(m.Curve, opts)
+	scalar = newEngine(m.Curve, opts)
+	scalar.scalarTail = true
+	u = m.data
+	warm = make([]float64, n)
 	resid := make([]float64, n)
-	seeds := make([][]int, 0, (n+projBlockRows-1)/projBlockRows)
-	for b0 := 0; b0 < n; b0 += projBlockRows {
-		bn := n - b0
-		if bn > projBlockRows {
-			bn = projBlockRows
+	lock.projectBlock(u, 0, n, warm, resid)
+	nudge := 1 / (8 * float64(opts.GridCells))
+	for i := range warm {
+		if i%2 == 1 {
+			warm[i] -= nudge
+		} else {
+			warm[i] += nudge
 		}
-		eng.projectBlockPacked(data[b0*dim:(b0+bn)*dim], bn, scores[b0:b0+bn], resid[b0:b0+bn])
-		blk := make([]int, bn)
-		copy(blk, eng.seeds[:bn])
-		seeds = append(seeds, blk)
+		warm[i] = min(max(warm[i], 0), 1)
 	}
-	return eng, data, seeds
+	return lock, scalar, u, warm
 }
 
-// BenchmarkRefineTail pins the refinement tail itself: scalar is the per-row
-// safeguarded-Newton loop (projectRowSeeded), lockstep the SoA lane kernel,
-// over cubic (the serving reality) and a general-degree profile, at the
-// ambient dimensions the fused seeders and the GEMM branch serve.
+// BenchmarkRefineTail pins the warm refinement tail itself: warm/scalar is
+// the per-row projectWarm loop, warm/lockstep the SoA lane kernel
+// (projectWarmBlock), over cubic (the fit's default degree) and a
+// general-degree profile, at the ambient dimensions the fused seeders and
+// the GEMM branch serve.
 func BenchmarkRefineTail(b *testing.B) {
 	const n = 4096
 	for _, tc := range []struct {
@@ -61,35 +65,18 @@ func BenchmarkRefineTail(b *testing.B) {
 	}{
 		{3, 2}, {3, 3}, {3, 8}, {5, 3},
 	} {
-		eng, data, seeds := refineBenchSetup(b, tc.deg, tc.dim, n)
+		lock, scalar, u, warm := refineBenchSetup(b, tc.deg, tc.dim, n)
 		scores := make([]float64, n)
 		resid := make([]float64, n)
-		cubic := len(eng.dc) == 7
-		run := func(b *testing.B, scalar bool) {
+		run := func(b *testing.B, e *engine) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for bi, blk := range seeds {
-					b0 := bi * projBlockRows
-					bn := len(blk)
-					copy(eng.seeds, blk)
-					switch {
-					case scalar:
-						for r := 0; r < bn; r++ {
-							row := b0 + r
-							s, d := eng.projectRowSeeded(data[row*tc.dim:(row+1)*tc.dim], blk[r], true)
-							scores[row], resid[row] = s, d
-						}
-					case cubic:
-						eng.refineCubicBlock(data, tc.dim, b0, bn, scores, resid)
-					default:
-						eng.refinePolyBlock(data, tc.dim, b0, bn, scores, resid)
-					}
-				}
+				e.projectWarmBlock(u, 0, n, scores, resid, warm)
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 		}
-		b.Run(fmt.Sprintf("scalar/deg=%d/d=%d", tc.deg, tc.dim), func(b *testing.B) { run(b, true) })
-		b.Run(fmt.Sprintf("lockstep/deg=%d/d=%d", tc.deg, tc.dim), func(b *testing.B) { run(b, false) })
+		b.Run(fmt.Sprintf("warm/scalar/deg=%d/d=%d", tc.deg, tc.dim), func(b *testing.B) { run(b, scalar) })
+		b.Run(fmt.Sprintf("warm/lockstep/deg=%d/d=%d", tc.deg, tc.dim), func(b *testing.B) { run(b, lock) })
 	}
 }

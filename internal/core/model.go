@@ -281,13 +281,6 @@ type Model struct {
 	// scorers recycles compiled scorers for Model.Score, which must stay
 	// safe for concurrent use while a Scorer (owning scratch) is not.
 	scorers sync.Pool
-
-	// c32 caches the float32 serving coefficients (nil when the model
-	// cannot serve float32 — wrong degree, quintic projector, or
-	// coefficients outside bezier.Compile32's acceptance bound), built on
-	// the first CanServeFloat32/float32-batch call.
-	c32once sync.Once
-	c32     *bezier.Compiled32
 }
 
 // AcquireScorer borrows a compiled scorer from the model's internal pool,

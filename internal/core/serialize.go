@@ -99,7 +99,7 @@ func Load(r io.Reader) (*Model, error) {
 	}
 	// The projector settings come from an untrusted document: 0 means
 	// "use the default", anything else must be usable — a negative grid
-	// panics GridSeed and a huge one is a CPU bomb per scored row. The
+	// panics the grid seed and a huge one is a CPU bomb per scored row. The
 	// bounds match Options.validate, so every fitted model round-trips.
 	if in.GridCells != 0 && (in.GridCells < 2 || in.GridCells > MaxGridCells) {
 		return nil, fmt.Errorf("core: grid_cells %d out of [2, %d]", in.GridCells, MaxGridCells)

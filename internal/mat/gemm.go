@@ -2,7 +2,6 @@ package mat
 
 import (
 	"fmt"
-	"sync"
 )
 
 // This file holds the register-blocked A·Bᵀ kernels behind the block-batched
@@ -168,46 +167,6 @@ func GemmABT(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m
 			ci[j] = s
 		}
 	}
-}
-
-// GemmABTParallel is GemmABT with the output rows striped across up to
-// `workers` goroutines. Each stripe owns a disjoint row range of C and every
-// output cell keeps its serial accumulation chain, so the result is
-// bit-identical to the serial kernel at any width. Worker counts below 2, or
-// row counts too small to amortise the goroutine hand-off, run serially.
-//
-// The current in-tree products parallelise one level up — the projection
-// pools stripe *rows of the batch* across workers, each running the serial
-// kernel — so this variant is for tall-output products (many C rows on one
-// goroutine, e.g. a future all-pairs distance or batched reconstruction
-// path); it is exercised by tests and the race job until such a caller
-// lands.
-func GemmABTParallel(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, n, k, workers int) {
-	if workers > m/8 {
-		workers = m / 8
-	}
-	if workers < 2 {
-		GemmABT(c, ldc, a, lda, b, ldb, m, n, k)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			GemmABT(c[lo*ldc:], ldc, a[lo*lda:], lda, b, ldb, hi-lo, n, k)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // MulABTBlockedInto computes dst = a·bᵀ through the register-blocked kernel.

@@ -40,22 +40,27 @@ func TestMulABTBlockedMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestGemmABTParallelMatchesSerial: row striping must be invisible in the
-// result at any worker count, because each output cell keeps one serial
-// accumulation chain wherever its stripe starts.
-func TestGemmABTParallelMatchesSerial(t *testing.T) {
+// TestGemmABTRowStripesMatchWhole: computing C in row stripes — the way
+// the projection seeder calls the kernel one row block at a time — must be
+// invisible in the result at any stripe count, because each output cell
+// keeps one serial accumulation chain wherever its stripe starts.
+func TestGemmABTRowStripesMatchWhole(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	m, n, k := 67, 19, 43
 	a := randDense(rng, m, k)
 	b := randDense(rng, n, k)
 	want := Zeros(m, n)
 	GemmABT(want.data, n, a.data, k, b.data, k, m, n, k)
-	for _, workers := range []int{0, 1, 2, 3, 4, 16, 100} {
+	for _, stripes := range []int{1, 2, 3, 4, 16, 67} {
 		got := Zeros(m, n)
-		GemmABTParallel(got.data, n, a.data, k, b.data, k, m, n, k, workers)
+		chunk := (m + stripes - 1) / stripes
+		for lo := 0; lo < m; lo += chunk {
+			hi := min(lo+chunk, m)
+			GemmABT(got.data[lo*n:], n, a.data[lo*k:], k, b.data, k, hi-lo, n, k)
+		}
 		for i := range want.data {
 			if got.data[i] != want.data[i] {
-				t.Fatalf("workers=%d: element %d differs", workers, i)
+				t.Fatalf("stripes=%d: element %d differs", stripes, i)
 			}
 		}
 	}

@@ -70,7 +70,6 @@ type poolTask struct {
 	out    []float64
 	lo, hi int
 	shard  int32
-	f32    bool // serve through the float32 kernel (negotiated per request)
 	tr     *obs.Trace
 	bc     *batchCancel
 	done   *sync.WaitGroup
@@ -158,7 +157,7 @@ func (p *Pool) runTask(t poolTask) {
 	}
 	p.faults.Fire(faultinject.PointWorker)
 	sc := t.model.AcquireScorer()
-	n := p.scoreRange(cctx, sc, t.out, t.f, t.lo, t.hi, t.f32)
+	n := p.scoreRange(cctx, sc, t.out, t.f, t.lo, t.hi)
 	t.model.ReleaseScorer(sc)
 	t.tr.AddRowsDone(n)
 	if n < t.hi-t.lo && t.bc != nil {
@@ -171,9 +170,9 @@ func (p *Pool) runTask(t poolTask) {
 // PointScoreBlock firing between them, so injected latency lands inside a
 // shard — the window deadline cancellation must close. Without one (the
 // production path) it is a single call.
-func (p *Pool) scoreRange(ctx context.Context, sc *core.Scorer, out []float64, f *frame.Frame, lo, hi int, f32 bool) int {
+func (p *Pool) scoreRange(ctx context.Context, sc *core.Scorer, out []float64, f *frame.Frame, lo, hi int) int {
 	if p == nil || p.faults == nil {
-		return scoreFrameRange(ctx, sc, out, f, lo, hi, f32)
+		return scoreFrameRange(ctx, sc, out, f, lo, hi)
 	}
 	const faultChunk = 256
 	total := 0
@@ -183,7 +182,7 @@ func (p *Pool) scoreRange(ctx context.Context, sc *core.Scorer, out []float64, f
 			e = hi
 		}
 		p.faults.Fire(faultinject.PointScoreBlock)
-		n := scoreFrameRange(ctx, sc, out, f, b, e, f32)
+		n := scoreFrameRange(ctx, sc, out, f, b, e)
 		total += n
 		if n < e-b {
 			break
@@ -194,15 +193,8 @@ func (p *Pool) scoreRange(ctx context.Context, sc *core.Scorer, out []float64, f
 
 // scoreFrameRange dispatches to the cancellable scorer only when there is
 // a context to poll, keeping the uncontended path free of per-block
-// checks. With f32 set the range goes through the float32 kernel, which
-// itself falls back to float64 for models that cannot serve it — the
-// decision is a model property, so every shard of a batch resolves it the
-// same way and the negotiated response header stays truthful.
-func scoreFrameRange(ctx context.Context, sc *core.Scorer, out []float64, f *frame.Frame, lo, hi int, f32 bool) int {
-	if f32 {
-		n, _ := sc.ScoreFrameRange32Ctx(ctx, out, f, lo, hi)
-		return n
-	}
+// checks.
+func scoreFrameRange(ctx context.Context, sc *core.Scorer, out []float64, f *frame.Frame, lo, hi int) int {
 	if ctx == nil {
 		sc.ScoreFrameRange(out, f, lo, hi)
 		return hi - lo
@@ -250,15 +242,6 @@ func (p *Pool) Close() {
 // valid scores, and the trace's RowsDone reports how far the batch got.
 // After Close, ErrPoolClosed.
 func (p *Pool) ScoreFrame(ctx context.Context, m *core.Model, f *frame.Frame, dst []float64) ([]float64, error) {
-	return p.ScoreFrameMode(ctx, m, f, dst, false)
-}
-
-// ScoreFrameMode is ScoreFrame with the serving precision chosen by the
-// caller: with float32Mode set, shards score through the float32 kernel
-// (float64 polish included — see core's float32 error contract), falling
-// back to float64 per model capability. Callers deciding what to report
-// should gate on core.Model.CanServeFloat32 first.
-func (p *Pool) ScoreFrameMode(ctx context.Context, m *core.Model, f *frame.Frame, dst []float64, float32Mode bool) ([]float64, error) {
 	tr := obs.FromContext(ctx)
 	n := f.N()
 	if cap(dst) >= n {
@@ -277,7 +260,7 @@ func (p *Pool) ScoreFrameMode(ctx context.Context, m *core.Model, f *frame.Frame
 		}
 	}
 	if p == nil || n < concurrencyThreshold {
-		return p.scoreInlineCancel(bc, tr, m, f, dst, float32Mode)
+		return p.scoreInlineCancel(bc, tr, m, f, dst)
 	}
 	p.closeMu.RLock()
 	if p.closed {
@@ -299,7 +282,7 @@ func (p *Pool) ScoreFrameMode(ctx context.Context, m *core.Model, f *frame.Frame
 			hi = n
 		}
 		done.Add(1)
-		p.tasks <- poolTask{model: m, f: f, out: dst, lo: lo, hi: hi, shard: shard, f32: float32Mode, tr: tr, bc: bc, done: &done, fail: &fail}
+		p.tasks <- poolTask{model: m, f: f, out: dst, lo: lo, hi: hi, shard: shard, tr: tr, bc: bc, done: &done, fail: &fail}
 		shard++
 	}
 	p.closeMu.RUnlock()
@@ -323,7 +306,7 @@ func (p *Pool) ScoreFrameMode(ctx context.Context, m *core.Model, f *frame.Frame
 // scoreInlineCancel is the small-batch path: one borrowed scorer on the
 // caller's goroutine, with the same cancellation contract as the sharded
 // path.
-func (p *Pool) scoreInlineCancel(bc *batchCancel, tr *obs.Trace, m *core.Model, f *frame.Frame, dst []float64, f32 bool) ([]float64, error) {
+func (p *Pool) scoreInlineCancel(bc *batchCancel, tr *obs.Trace, m *core.Model, f *frame.Frame, dst []float64) ([]float64, error) {
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
@@ -333,7 +316,7 @@ func (p *Pool) scoreInlineCancel(bc *batchCancel, tr *obs.Trace, m *core.Model, 
 		cctx = bc
 	}
 	sc := m.AcquireScorer()
-	n := p.scoreRange(cctx, sc, dst, f, 0, f.N(), f32)
+	n := p.scoreRange(cctx, sc, dst, f, 0, f.N())
 	m.ReleaseScorer(sc)
 	tr.AddRowsDone(n)
 	if tr != nil {
@@ -354,16 +337,9 @@ func (p *Pool) scoreInlineCancel(bc *batchCancel, tr *obs.Trace, m *core.Model, 
 // fallback decode path among them; ragged rows score inline via
 // Model.ScoreAll, which surfaces the canonical dimension panic per row.
 func (p *Pool) ScoreBatch(ctx context.Context, m *core.Model, rows [][]float64) ([]float64, error) {
-	return p.ScoreBatchMode(ctx, m, rows, false)
-}
-
-// ScoreBatchMode is ScoreBatch with the caller-chosen serving precision of
-// ScoreFrameMode. Ragged batches (which cannot pack into a frame) score
-// through the float64 reference path regardless of mode.
-func (p *Pool) ScoreBatchMode(ctx context.Context, m *core.Model, rows [][]float64, float32Mode bool) ([]float64, error) {
 	f, err := frame.FromRows(rows)
 	if err != nil {
 		return m.ScoreAll(rows), nil
 	}
-	return p.ScoreFrameMode(ctx, m, f, nil, float32Mode)
+	return p.ScoreFrame(ctx, m, f, nil)
 }

@@ -1,27 +1,26 @@
 package server
 
-// Tests of the per-request precision negotiation: a client opts into the
-// float32 scoring mode with the X-Precision request header, the server
-// reflects the precision that actually served the batch in the response
-// header, and models the float32 kernel cannot express are served float64
-// with the header saying so. Requests without the header never see a
-// response header and never touch the float32 path.
+// Test of the X-Precision answer: scoring is always float64, so a request
+// asking for float32 is answered "X-Precision: float64" with a body
+// byte-identical to the same request without the header — on a single
+// node and through a forwarding serving group, which relays the header
+// both ways.
 
 import (
 	"bytes"
-	"encoding/json"
-	"math"
+	"fmt"
+	"io"
 	"net/http"
 	"testing"
+	"time"
 )
 
-func scoreWithHeader(t *testing.T, url string, rows [][]float64, precision string) (*http.Response, ScoreResponse) {
+// postPrecision posts body to url with the given X-Precision value (none
+// when empty) and returns the response's X-Precision and X-RPC-Served-By
+// headers and its raw body.
+func postPrecision(t *testing.T, url, body, precision string) (prec, servedBy string, raw []byte) {
 	t.Helper()
-	raw, err := json.Marshal(ScoreRequest{Rows: rows})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(raw))
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader([]byte(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,80 +32,78 @@ func scoreWithHeader(t *testing.T, url string, rows [][]float64, precision strin
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer resp.Body.Close()
+	raw, err = io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("score: status %d", resp.StatusCode)
+		t.Fatalf("%s: status %d: %s", url, resp.StatusCode, raw)
 	}
-	return resp, decodeBody[ScoreResponse](t, resp)
+	return resp.Header.Get("X-Precision"), resp.Header.Get("X-RPC-Served-By"), raw
 }
 
-func TestScorePrecisionNegotiation(t *testing.T) {
-	_, ts := newTestServer(t, t.TempDir())
-	fitModel(t, ts, "prec")
-	url := ts.URL + "/v1/models/prec-v1/score"
-	probe := [][]float64{{0.5, 1.1, 2.9}, {5.0, 2.3, 2.0}, {9.5, 5.8, 1.1}, {3.3, 2.0, 2.4}}
-
-	// Baseline: no header → float64 path, no response header.
-	respRef, ref := scoreWithHeader(t, url, probe, "")
-	if got := respRef.Header.Get("X-Precision"); got != "" {
-		t.Fatalf("unnegotiated request got X-Precision %q in the response", got)
-	}
-
-	// Opt-in on a capable (cubic Newton) model → served float32, reflected
-	// in the header, scores within the documented 1e-6 contract.
-	resp32, got32 := scoreWithHeader(t, url, probe, "float32")
-	if got := resp32.Header.Get("X-Precision"); got != "float32" {
-		t.Fatalf("response X-Precision = %q, want float32", got)
-	}
-	for i := range ref.Scores {
-		if d := math.Abs(got32.Scores[i] - ref.Scores[i]); d > 1e-6 {
-			t.Fatalf("row %d: float32 score %v vs float64 %v (diff %.3g)", i, got32.Scores[i], ref.Scores[i], d)
+func TestPrecisionFloat32AnsweredFloat64(t *testing.T) {
+	const body = `{"rows":[[0.5,1.1,2.9],[5.0,2.3,2.0],[9.5,5.8,1.1],[3.3,2.0,2.4]]}`
+	// check asks every endpoint of baseURL's model for float32 (any case)
+	// and for an unknown precision, against the header-less answer. It
+	// returns how many of the answers another node served.
+	check := func(t *testing.T, baseURL string) (forwarded int) {
+		t.Helper()
+		for _, ep := range []string{"score", "rank"} {
+			url := baseURL + "/v1/models/prec-v1/" + ep
+			prec, _, ref := postPrecision(t, url, body, "")
+			if prec != "" {
+				t.Fatalf("%s without X-Precision got X-Precision %q in the response", ep, prec)
+			}
+			for _, ask := range []string{"float32", "FLOAT32", "float16"} {
+				want := "float64"
+				if ask == "float16" {
+					want = "" // unknown values are ignored, never an error
+				}
+				prec, servedBy, got := postPrecision(t, url, body, ask)
+				if prec != want {
+					t.Fatalf("%s with X-Precision %s: response X-Precision %q, want %q", ep, ask, prec, want)
+				}
+				if !bytes.Equal(got, ref) {
+					t.Fatalf("%s with X-Precision %s: body differs from the header-less request:\n%s\nvs\n%s", ep, ask, got, ref)
+				}
+				if servedBy != "" {
+					forwarded++
+				}
+			}
 		}
+		return forwarded
 	}
 
-	// Header values are case-insensitive; anything else is ignored (no
-	// negotiation, no response header).
-	respUp, _ := scoreWithHeader(t, url, probe, "FLOAT32")
-	if got := respUp.Header.Get("X-Precision"); got != "float32" {
-		t.Fatalf("case-insensitive opt-in got X-Precision %q", got)
-	}
-	respGarbage, garbage := scoreWithHeader(t, url, probe, "float16")
-	if got := respGarbage.Header.Get("X-Precision"); got != "" {
-		t.Fatalf("unknown precision %q negotiated to %q", "float16", got)
-	}
-	for i := range ref.Scores {
-		if garbage.Scores[i] != ref.Scores[i] {
-			t.Fatalf("unknown precision changed scores: %v vs %v", garbage.Scores[i], ref.Scores[i])
-		}
-	}
-}
-
-// TestScorePrecisionFallbackHeader: opting in on a model the float32 mode
-// cannot express (non-cubic degree) answers with X-Precision: float64 and
-// float64 scores — the request succeeds, the client learns the mode.
-func TestScorePrecisionFallbackHeader(t *testing.T) {
-	_, ts := newTestServer(t, t.TempDir())
-	resp := postJSON(t, ts.URL+"/v1/models", FitRequest{
-		Name:   "prec2",
-		Alpha:  []float64{1, 1, -1},
-		Rows:   trainingRows(24),
-		Degree: 2,
-		Seed:   3,
+	t.Run("single", func(t *testing.T) {
+		_, ts := newTestServer(t, t.TempDir())
+		fitModel(t, ts, "prec")
+		check(t, ts.URL)
 	})
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("fit: status %d", resp.StatusCode)
-	}
-	decodeBody[FitResponse](t, resp)
-	url := ts.URL + "/v1/models/prec2-v1/score"
-	probe := [][]float64{{0.5, 1.1, 2.9}, {9.5, 5.8, 1.1}}
 
-	_, ref := scoreWithHeader(t, url, probe, "")
-	respF, got := scoreWithHeader(t, url, probe, "float32")
-	if h := respF.Header.Get("X-Precision"); h != "float64" {
-		t.Fatalf("fallback response X-Precision = %q, want float64", h)
-	}
-	for i := range ref.Scores {
-		if got.Scores[i] != ref.Scores[i] {
-			t.Fatalf("fallback scores differ from float64 path: %v vs %v", got.Scores[i], ref.Scores[i])
+	t.Run("group", func(t *testing.T) {
+		nodes := newStormCluster(t, 2)
+		for i, nd := range nodes {
+			waitForCondition(t, 3*time.Second, fmt.Sprintf("node %d to see its peer", i), func() bool {
+				up, _ := nd.cl.PeerCounts()
+				return up == 1
+			})
 		}
-	}
+		fitStormModel(t, nodes[0].url, "prec")
+		for i, nd := range nodes {
+			waitForCondition(t, 3*time.Second, fmt.Sprintf("prec-v1 on node %d", i), func() bool {
+				_, err := nd.reg.GetMeta("prec-v1")
+				return err == nil
+			})
+		}
+		forwarded := 0
+		for _, nd := range nodes {
+			forwarded += check(t, nd.url)
+		}
+		// The rendezvous owner serves locally; the other node forwards.
+		if forwarded == 0 {
+			t.Fatal("no request crossed the forward hop; the group check exercised no relay")
+		}
+	})
 }

@@ -823,14 +823,12 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // parse), validate (shape and batch-size checks), score (one span per pool
 // shard, recorded by the workers). The caller records encode.
 //
-// Precision negotiation: a request carrying "X-Precision: float32" is
-// served through the float32 kernel when the model admits it (cubic
-// degree, grid-seeded projector, coefficients within the float32
-// acceptance bound — see core's float32 error contract); otherwise it is
-// served float64 as usual. Whenever the header is present, the response's
-// X-Precision header reports the precision that actually served the batch.
-// Any other header value is ignored (float64, no response header), so the
-// negotiation can never turn a typo into an error.
+// Precision negotiation: scoring is always float64. A request carrying
+// "X-Precision: float32" is answered "X-Precision: float64" with the same
+// body as the request without the header, so a client that asks learns
+// which precision its scores carry. Any other header value is ignored (no
+// response header), so the negotiation can never turn a typo into an
+// error.
 func (s *Server) scoreRows(w http.ResponseWriter, tr *obs.Trace, r *http.Request) (id string, scores []float64, err error) {
 	id = r.PathValue("id")
 	wantF32 := strings.EqualFold(r.Header.Get("X-Precision"), "float32")
@@ -917,10 +915,10 @@ func (s *Server) scoreRows(w http.ResponseWriter, tr *obs.Trace, r *http.Request
 			return id, nil, err
 		}
 		tr.EndStage(obs.StageNormalize)
-		f32 := negotiatePrecision(w, wantF32, m)
+		negotiatePrecision(w, wantF32)
 		t0 := time.Now()
 		var serr error
-		scores, serr = s.pool.ScoreFrameMode(traceCtx(tr), m, fr, getScores(), f32)
+		scores, serr = s.pool.ScoreFrame(traceCtx(tr), m, fr, getScores())
 		tr.SkipStage() // score wall time is covered by the shard spans
 		if serr != nil {
 			putScores(scores)
@@ -957,10 +955,10 @@ func (s *Server) scoreRows(w http.ResponseWriter, tr *obs.Trace, r *http.Request
 		return id, nil, err
 	}
 	tr.EndStage(obs.StageNormalize)
-	f32 := negotiatePrecision(w, wantF32, m)
+	negotiatePrecision(w, wantF32)
 	t0 := time.Now()
 	var serr error
-	scores, serr = s.pool.ScoreBatchMode(traceCtx(tr), m, rows, f32)
+	scores, serr = s.pool.ScoreBatch(traceCtx(tr), m, rows)
 	tr.SkipStage()
 	if serr != nil {
 		putScores(scores)
@@ -971,21 +969,13 @@ func (s *Server) scoreRows(w http.ResponseWriter, tr *obs.Trace, r *http.Request
 	return id, scores, nil
 }
 
-// negotiatePrecision resolves a request's X-Precision ask against the
-// model's capability and, when the client asked, reports the serving
-// precision on the response so clients can tell which contract their
-// scores carry.
-func negotiatePrecision(w http.ResponseWriter, wantF32 bool, m *core.Model) bool {
-	if !wantF32 {
-		return false
-	}
-	f32 := m.CanServeFloat32()
-	if f32 {
-		w.Header().Set("X-Precision", "float32")
-	} else {
+// negotiatePrecision answers a request's X-Precision ask: when the client
+// asked for float32, the response reports the float64 that serves every
+// batch.
+func negotiatePrecision(w http.ResponseWriter, wantF32 bool) {
+	if wantF32 {
 		w.Header().Set("X-Precision", "float64")
 	}
-	return f32
 }
 
 // scoreFailed maps a scoring error — cooperative cancellation, deadline

@@ -286,7 +286,7 @@ func TestQuinticRuleWithWrongDegreeRejected(t *testing.T) {
 		t.Errorf("poison rule: status %d, error %q; want 400 naming the quintic projector", resp.StatusCode, body.Error)
 	}
 
-	// A negative grid would panic GridSeed on every later score request; a
+	// A negative grid would panic the grid seed on every later score request; a
 	// huge one is a CPU bomb. Both die at install.
 	for _, grid := range []string{"-1", "1000000000"} {
 		rule := `{
