@@ -94,92 +94,131 @@ func TestProjectBlockMatchesPerRow(t *testing.T) {
 // ones where a seeding disagreement would not be polished away by Newton.
 func TestProjectBlockEdgeRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	alpha := order.MustDirection(1, 1, -1)
-	xs, _ := genBezierCloud(rng, 64, alpha, 0.02)
-	m, err := Fit(xs, Options{Alpha: alpha, MaxIter: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := m.Dim()
-	// Rows x = f(0) − c·f′(0) sit outward along the start tangent, so
-	// D′(0) = 2c‖f′(0)‖² > 0: the grid best is node 0, the bracket cannot
-	// slope down on its left edge, classification misses, and the per-row
-	// path publishes the grid node s=0 *exactly* (symmetrically s=1 at the
-	// far end). These are the rows where a block-seeding disagreement could
-	// not be polished away by Newton, so the assertions below demand the
-	// exact edge values. The remaining rows probe corners and the interior
-	// for parity only.
-	f0 := m.Curve.Eval(0)
-	f1 := m.Curve.Eval(1)
-	der := m.Curve.Derivative()
-	t0 := der.Eval(0)
-	t1 := der.Eval(1)
-	ef := frame.New(8, d)
-	for j := 0; j < d; j++ {
-		lo, hi := 0.0, 1.0
-		if m.Alpha[j] < 0 {
-			lo, hi = 1, 0
+	t.Run("fitted", func(t *testing.T) {
+		alpha := order.MustDirection(1, 1, -1)
+		xs, _ := genBezierCloud(rng, 64, alpha, 0.02)
+		m, err := Fit(xs, Options{Alpha: alpha, MaxIter: 10})
+		if err != nil {
+			t.Fatal(err)
 		}
-		ef.Set(0, j, f0[j]-2*t0[j])    // far out along the start tangent → s=0
-		ef.Set(1, j, f1[j]+2*t1[j])    // far out along the end tangent → s=1
-		ef.Set(2, j, f0[j]-1e-9*t0[j]) // infinitesimally outside the start
-		ef.Set(3, j, f1[j]+1e-9*t1[j]) // infinitesimally outside the end
-		ef.Set(4, j, lo)               // exact worst corner
-		ef.Set(5, j, hi)               // exact best corner
-		ef.Set(6, j, 0.5)              // centre (interior basin)
-		ef.Set(7, j, lo-3)             // far past the worst corner
-	}
-	eng := newEngine(m.Curve, m.opts.withDefaults())
-	blockParityCheck(t, eng, ef)
+		d := m.Dim()
+		// Rows x = f(0) − c·f′(0) sit outward along the start tangent, so
+		// D′(0) = 2c‖f′(0)‖² > 0: the grid best is node 0, the bracket cannot
+		// slope down on its left edge, classification misses, and the per-row
+		// path publishes the grid node s=0 *exactly* (symmetrically s=1 at the
+		// far end). These are the rows where a block-seeding disagreement could
+		// not be polished away by Newton, so the assertions below demand the
+		// exact edge values. The remaining rows probe corners and the interior
+		// for parity only.
+		f0 := m.Curve.Eval(0)
+		f1 := m.Curve.Eval(1)
+		der := m.Curve.Derivative()
+		t0 := der.Eval(0)
+		t1 := der.Eval(1)
+		ef := frame.New(8, d)
+		for j := 0; j < d; j++ {
+			lo, hi := 0.0, 1.0
+			if m.Alpha[j] < 0 {
+				lo, hi = 1, 0
+			}
+			ef.Set(0, j, f0[j]-2*t0[j])    // far out along the start tangent → s=0
+			ef.Set(1, j, f1[j]+2*t1[j])    // far out along the end tangent → s=1
+			ef.Set(2, j, f0[j]-1e-9*t0[j]) // infinitesimally outside the start
+			ef.Set(3, j, f1[j]+1e-9*t1[j]) // infinitesimally outside the end
+			ef.Set(4, j, lo)               // exact worst corner
+			ef.Set(5, j, hi)               // exact best corner
+			ef.Set(6, j, 0.5)              // centre (interior basin)
+			ef.Set(7, j, lo-3)             // far past the worst corner
+		}
+		eng := newEngine(m.Curve, m.opts.withDefaults())
+		blockParityCheck(t, eng, ef)
 
-	scores := make([]float64, ef.N())
-	resid := make([]float64, ef.N())
-	eng.projectBlock(ef, 0, ef.N(), scores, resid)
-	if scores[0] != 0 || scores[2] != 0 {
-		t.Fatalf("start-tangent rows scored %v / %v, want exactly 0", scores[0], scores[2])
-	}
-	if scores[1] != 1 || scores[3] != 1 {
-		t.Fatalf("end-tangent rows scored %v / %v, want exactly 1", scores[1], scores[3])
-	}
+		scores := make([]float64, ef.N())
+		resid := make([]float64, ef.N())
+		eng.projectBlock(ef, 0, ef.N(), scores, resid)
+		if scores[0] != 0 || scores[2] != 0 {
+			t.Fatalf("start-tangent rows scored %v / %v, want exactly 0", scores[0], scores[2])
+		}
+		if scores[1] != 1 || scores[3] != 1 {
+			t.Fatalf("end-tangent rows scored %v / %v, want exactly 1", scores[1], scores[3])
+		}
+	})
 
-	// The same contract on a random monotone cubic, with edge rows
-	// interleaved among interior rows across a block boundary: every third
-	// row sits outward along the start tangent, every third along the end
-	// tangent, so bracket misses land in both blocks and next to rows that
-	// refine.
-	pm := randParityModel(rng, 3, 3, ProjectorNewton)
-	pd := pm.Dim()
-	p0, p1 := pm.Curve.Eval(0), pm.Curve.Eval(1)
-	pder := pm.Curve.Derivative()
-	q0, q1 := pder.Eval(0), pder.Eval(1)
-	const n = projBlockRows + 2
-	mf := frame.New(n, pd)
-	for i := 0; i < n; i++ {
-		for j := 0; j < pd; j++ {
+	t.Run("interleaved", func(t *testing.T) {
+		// The same contract on a random monotone cubic, with edge rows
+		// interleaved among interior rows across a block boundary: every third
+		// row sits outward along the start tangent, every third along the end
+		// tangent, so bracket misses land in both blocks and next to rows that
+		// refine.
+		pm := randParityModel(rng, 3, 3, ProjectorNewton)
+		pd := pm.Dim()
+		p0, p1 := pm.Curve.Eval(0), pm.Curve.Eval(1)
+		pder := pm.Curve.Derivative()
+		q0, q1 := pder.Eval(0), pder.Eval(1)
+		const n = projBlockRows + 2
+		mf := frame.New(n, pd)
+		for i := 0; i < n; i++ {
+			for j := 0; j < pd; j++ {
+				switch i % 3 {
+				case 0:
+					mf.Set(i, j, p0[j]-2*q0[j])
+				case 1:
+					mf.Set(i, j, p1[j]+2*q1[j])
+				default:
+					mf.Set(i, j, rng.Float64())
+				}
+			}
+		}
+		peng := newEngine(pm.Curve, pm.opts)
+		blockParityCheck(t, peng, mf)
+		ms := make([]float64, n)
+		mr := make([]float64, n)
+		peng.projectBlock(mf, 0, n, ms, mr)
+		for i := 0; i < n; i++ {
 			switch i % 3 {
 			case 0:
-				mf.Set(i, j, p0[j]-2*q0[j])
+				if ms[i] != 0 {
+					t.Fatalf("interleaved row %d: start-tangent row scored %.17g, want exactly 0", i, ms[i])
+				}
 			case 1:
-				mf.Set(i, j, p1[j]+2*q1[j])
-			default:
-				mf.Set(i, j, rng.Float64())
+				if ms[i] != 1 {
+					t.Fatalf("interleaved row %d: end-tangent row scored %.17g, want exactly 1", i, ms[i])
+				}
 			}
 		}
-	}
-	peng := newEngine(pm.Curve, pm.opts)
-	blockParityCheck(t, peng, mf)
-	ms := make([]float64, n)
-	mr := make([]float64, n)
-	peng.projectBlock(mf, 0, n, ms, mr)
-	for i := 0; i < n; i++ {
-		switch i % 3 {
-		case 0:
-			if ms[i] != 0 {
-				t.Fatalf("interleaved row %d: start-tangent row scored %.17g, want exactly 0", i, ms[i])
-			}
-		case 1:
-			if ms[i] != 1 {
-				t.Fatalf("interleaved row %d: end-tangent row scored %.17g, want exactly 1", i, ms[i])
+	})
+}
+
+// TestProjectBlockColdShapes: the cold block path (grid-table seeding,
+// bracket classification, per-row refinement) vs the per-row engine on
+// random monotone curves — cubic Newton and the general-degree refinement,
+// the fused d=2/3 seeders and the generic GEMM seeder at d=8, and row
+// counts n ∈ {64, 65, 71} around the block size. The frame spans
+// [-0.3, 1.3] per coordinate, so every shape also publishes bracket-miss
+// rows exactly on s=0/1.
+func TestProjectBlockColdShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(211))
+	for _, deg := range []int{2, 3, 5} {
+		for _, dim := range []int{2, 3, 8} {
+			for _, n := range []int{64, 65, 71} {
+				t.Run(fmt.Sprintf("deg=%d/d=%d/n=%d", deg, dim, n), func(t *testing.T) {
+					m := randParityModel(rng, deg, dim, ProjectorNewton)
+					u := lockstepFrame(rng, n, dim)
+					eng := newEngine(m.Curve, m.opts)
+					blockParityCheck(t, eng, u)
+					scores := make([]float64, n)
+					resid := make([]float64, n)
+					eng.projectBlock(u, 0, n, scores, resid)
+					edges := 0
+					for _, s := range scores {
+						if s == 0 || s == 1 {
+							edges++
+						}
+					}
+					if edges == 0 {
+						t.Fatal("no bracket-miss rows landed exactly on s=0/1; widen the frame margin")
+					}
+				})
 			}
 		}
 	}

@@ -45,33 +45,38 @@ func postPrecision(t *testing.T, url, body, precision string) (prec, servedBy st
 
 func TestPrecisionFloat32AnsweredFloat64(t *testing.T) {
 	const body = `{"rows":[[0.5,1.1,2.9],[5.0,2.3,2.0],[9.5,5.8,1.1],[3.3,2.0,2.4]]}`
-	// check asks every endpoint of baseURL's model for float32 (any case)
-	// and for an unknown precision, against the header-less answer. It
-	// returns how many of the answers another node served.
-	check := func(t *testing.T, baseURL string) (forwarded int) {
+	// check runs one subtest per endpoint. Each asks every node in
+	// baseURLs for float32 (any case) and for an unknown precision, against
+	// the header-less answer, and adds to forwarded how many of the answers
+	// another node served.
+	check := func(t *testing.T, baseURLs ...string) (forwarded int) {
 		t.Helper()
 		for _, ep := range []string{"score", "rank"} {
-			url := baseURL + "/v1/models/prec-v1/" + ep
-			prec, _, ref := postPrecision(t, url, body, "")
-			if prec != "" {
-				t.Fatalf("%s without X-Precision got X-Precision %q in the response", ep, prec)
-			}
-			for _, ask := range []string{"float32", "FLOAT32", "float16"} {
-				want := "float64"
-				if ask == "float16" {
-					want = "" // unknown values are ignored, never an error
+			t.Run(ep, func(t *testing.T) {
+				for _, baseURL := range baseURLs {
+					url := baseURL + "/v1/models/prec-v1/" + ep
+					prec, _, ref := postPrecision(t, url, body, "")
+					if prec != "" {
+						t.Fatalf("%s without X-Precision got X-Precision %q in the response", url, prec)
+					}
+					for _, ask := range []string{"float32", "FLOAT32", "float16"} {
+						want := "float64"
+						if ask == "float16" {
+							want = "" // unknown values are ignored, never an error
+						}
+						prec, servedBy, got := postPrecision(t, url, body, ask)
+						if prec != want {
+							t.Fatalf("%s with X-Precision %s: response X-Precision %q, want %q", url, ask, prec, want)
+						}
+						if !bytes.Equal(got, ref) {
+							t.Fatalf("%s with X-Precision %s: body differs from the header-less request:\n%s\nvs\n%s", url, ask, got, ref)
+						}
+						if servedBy != "" {
+							forwarded++
+						}
+					}
 				}
-				prec, servedBy, got := postPrecision(t, url, body, ask)
-				if prec != want {
-					t.Fatalf("%s with X-Precision %s: response X-Precision %q, want %q", ep, ask, prec, want)
-				}
-				if !bytes.Equal(got, ref) {
-					t.Fatalf("%s with X-Precision %s: body differs from the header-less request:\n%s\nvs\n%s", ep, ask, got, ref)
-				}
-				if servedBy != "" {
-					forwarded++
-				}
-			}
+			})
 		}
 		return forwarded
 	}
@@ -97,10 +102,7 @@ func TestPrecisionFloat32AnsweredFloat64(t *testing.T) {
 				return err == nil
 			})
 		}
-		forwarded := 0
-		for _, nd := range nodes {
-			forwarded += check(t, nd.url)
-		}
+		forwarded := check(t, nodes[0].url, nodes[1].url)
 		// The rendezvous owner serves locally; the other node forwards.
 		if forwarded == 0 {
 			t.Fatal("no request crossed the forward hop; the group check exercised no relay")
