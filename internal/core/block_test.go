@@ -1,12 +1,13 @@
 package core
 
-// Tests of the block-batched projection seeder: batch-vs-per-row score
-// parity over monotone curves (the engine contract convention), explicit
-// edge-projection and bracket-miss rows, block-boundary sizes, and the
-// behavioural invariants the block path must not disturb (NoWarmStart,
-// projector kinds, fit determinism).
+// Tests of the range projection paths — engine.projectBlock (the fit's cold
+// passes) and Scorer.ScoreFrameRange (batch serving): exact edge-projection
+// and bracket-miss rows, range-boundary independence, bit-identity of batch
+// scores with per-row Score, the cancellation cadence, and the fit-level
+// cold parity contract.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -16,82 +17,63 @@ import (
 	"rpcrank/internal/order"
 )
 
-// blockParityCheck projects every frame row through the per-row engine path
-// and the block path and asserts ≤1e-12 agreement on scores and residuals
-// (the compiled-engine contract tolerance; in practice the paths are
-// bit-identical unless two grid nodes tie at rounding level).
-func blockParityCheck(t *testing.T, eng *engine, u *frame.Frame) {
+// rawFrame maps a frame of normalised rows back to m's raw data space, so
+// the serving path (which normalises internally) sees the same points the
+// engine path projects directly.
+func rawFrame(m *Model, u *frame.Frame) *frame.Frame {
+	raw := frame.New(u.N(), u.Dim())
+	for i := 0; i < u.N(); i++ {
+		copy(raw.Row(i), m.Norm.Invert(u.Row(i)))
+	}
+	return raw
+}
+
+// checkEdgeRows projects u through eng.projectBlock with residuals and
+// through m's scorer (ScoreFrameRange over the same rows in raw space), and
+// demands that every row in zeros scores exactly 0 and every row in ones
+// exactly 1 on both paths. These are bracket-miss rows: the grid node
+// itself is published, so any seeding or classification error shows here
+// instead of being polished away by Newton. On the engine path each edge
+// row's residual must be the squared distance to the curve end it hit.
+func checkEdgeRows(t *testing.T, m *Model, eng *engine, u *frame.Frame, zeros, ones []int) {
 	t.Helper()
 	n := u.N()
-	perRow := newEngineLike(eng)
-	scores := make([]float64, n)
-	resid := make([]float64, n)
-	eng.projectBlock(u, 0, n, scores, resid)
-	for i := 0; i < n; i++ {
-		s, d := perRow.project(u.Row(i))
-		if math.Abs(scores[i]-s) > 1e-12 {
-			t.Fatalf("row %d: block score %.17g vs per-row %.17g", i, scores[i], s)
-		}
-		if math.Abs(resid[i]-d) > 1e-12*(1+d) {
-			t.Fatalf("row %d: block resid %.17g vs per-row %.17g", i, resid[i], d)
-		}
-	}
-}
-
-// newEngineLike clones an engine's configuration onto a fresh engine (own
-// Compiled), so the per-row reference cannot share block state by accident.
-func newEngineLike(e *engine) *engine {
-	return newEngine(e.curve, Options{
-		Projector: e.kind, GridCells: e.cells, ProjTol: e.tol,
-	}.withDefaults())
-}
-
-// TestProjectBlockMatchesPerRow is the batch-vs-per-row parity property
-// test over monotone curves, across projector kinds and degrees.
-func TestProjectBlockMatchesPerRow(t *testing.T) {
-	cases := []struct {
-		name string
-		proj Projector
-		deg  int
-		dim  int
-		seed int64
-	}{
-		{"newton-cubic-d3", ProjectorNewton, 3, 3, 101},
-		{"newton-cubic-d2", ProjectorNewton, 3, 2, 102},
-		{"newton-cubic-d4", ProjectorNewton, 3, 4, 103},
-		{"newton-cubic-d7", ProjectorNewton, 3, 7, 104}, // generic GEMM path
-		{"gss-cubic", ProjectorGSS, 3, 3, 105},
-		{"brent-cubic", ProjectorBrent, 3, 3, 106},
-		{"newton-deg5", ProjectorNewton, 5, 3, 107},
-		{"gss-deg2", ProjectorGSS, 2, 4, 108},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(tc.seed))
-			signs := make([]float64, tc.dim)
-			for j := range signs {
-				signs[j] = 1
-				if rng.Intn(2) == 0 {
-					signs[j] = -1
+	ends := [2][]float64{m.Curve.Eval(0), m.Curve.Eval(1)}
+	t.Run("engine", func(t *testing.T) {
+		scores := make([]float64, n)
+		resid := make([]float64, n)
+		eng.projectBlock(u, 0, n, scores, resid)
+		for end, rows := range [2][]int{zeros, ones} {
+			for _, i := range rows {
+				if scores[i] != float64(end) {
+					t.Fatalf("row %d scored %.17g, want exactly %d", i, scores[i], end)
+				}
+				var want float64
+				for j, v := range u.Row(i) {
+					want += (v - ends[end][j]) * (v - ends[end][j])
+				}
+				if math.Abs(resid[i]-want) > 1e-9*(1+want) {
+					t.Fatalf("row %d: residual %.17g, want %.17g", i, resid[i], want)
 				}
 			}
-			alpha := order.MustDirection(signs...)
-			xs, _ := genBezierCloud(rng, 257, alpha, 0.05)
-			m, err := Fit(xs, Options{Alpha: alpha, Projector: tc.proj, Degree: tc.deg, MaxIter: 15})
-			if err != nil {
-				t.Fatal(err)
+		}
+	})
+	t.Run("frame", func(t *testing.T) {
+		scores := make([]float64, n)
+		m.Compile().ScoreFrameRange(scores, rawFrame(m, u), 0, n)
+		for end, rows := range [2][]int{zeros, ones} {
+			for _, i := range rows {
+				if scores[i] != float64(end) {
+					t.Fatalf("row %d scored %.17g, want exactly %d", i, scores[i], end)
+				}
 			}
-			eng := newEngine(m.Curve, m.opts.withDefaults())
-			blockParityCheck(t, eng, m.data)
-		})
-	}
+		}
+	})
 }
 
 // TestProjectBlockEdgeRows pins the classification-fail behaviour: rows far
 // past the curve's end points project onto the domain edges s=0/1, where
-// the per-row path publishes the grid node itself (no bracket refinement).
-// The block path must land on exactly the same nodes — these rows are the
-// ones where a seeding disagreement would not be polished away by Newton.
+// the grid node itself is published (no bracket refinement).
 func TestProjectBlockEdgeRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	t.Run("fitted", func(t *testing.T) {
@@ -104,12 +86,9 @@ func TestProjectBlockEdgeRows(t *testing.T) {
 		d := m.Dim()
 		// Rows x = f(0) − c·f′(0) sit outward along the start tangent, so
 		// D′(0) = 2c‖f′(0)‖² > 0: the grid best is node 0, the bracket cannot
-		// slope down on its left edge, classification misses, and the per-row
-		// path publishes the grid node s=0 *exactly* (symmetrically s=1 at the
-		// far end). These are the rows where a block-seeding disagreement could
-		// not be polished away by Newton, so the assertions below demand the
-		// exact edge values. The remaining rows probe corners and the interior
-		// for parity only.
+		// slope down on its left edge, classification misses, and the node
+		// s=0 is published *exactly* (symmetrically s=1 at the far end). The
+		// remaining rows probe corners and the interior.
 		f0 := m.Curve.Eval(0)
 		f1 := m.Curve.Eval(1)
 		der := m.Curve.Derivative()
@@ -131,25 +110,15 @@ func TestProjectBlockEdgeRows(t *testing.T) {
 			ef.Set(7, j, lo-3)             // far past the worst corner
 		}
 		eng := newEngine(m.Curve, m.opts.withDefaults())
-		blockParityCheck(t, eng, ef)
-
-		scores := make([]float64, ef.N())
-		resid := make([]float64, ef.N())
-		eng.projectBlock(ef, 0, ef.N(), scores, resid)
-		if scores[0] != 0 || scores[2] != 0 {
-			t.Fatalf("start-tangent rows scored %v / %v, want exactly 0", scores[0], scores[2])
-		}
-		if scores[1] != 1 || scores[3] != 1 {
-			t.Fatalf("end-tangent rows scored %v / %v, want exactly 1", scores[1], scores[3])
-		}
+		checkEdgeRows(t, m, eng, ef, []int{0, 2}, []int{1, 3})
 	})
 
 	t.Run("interleaved", func(t *testing.T) {
 		// The same contract on a random monotone cubic, with edge rows
-		// interleaved among interior rows across a block boundary: every third
-		// row sits outward along the start tangent, every third along the end
-		// tangent, so bracket misses land in both blocks and next to rows that
-		// refine.
+		// interleaved among interior rows across a cancellation-block
+		// boundary: every third row sits outward along the start tangent,
+		// every third along the end tangent, so bracket misses sit next to
+		// rows that refine.
 		pm := randParityModel(rng, 3, 3, ProjectorNewton)
 		pd := pm.Dim()
 		p0, p1 := pm.Curve.Eval(0), pm.Curve.Eval(1)
@@ -157,7 +126,14 @@ func TestProjectBlockEdgeRows(t *testing.T) {
 		q0, q1 := pder.Eval(0), pder.Eval(1)
 		const n = projBlockRows + 2
 		mf := frame.New(n, pd)
+		var zeros, ones []int
 		for i := 0; i < n; i++ {
+			switch i % 3 {
+			case 0:
+				zeros = append(zeros, i)
+			case 1:
+				ones = append(ones, i)
+			}
 			for j := 0; j < pd; j++ {
 				switch i % 3 {
 				case 0:
@@ -169,48 +145,67 @@ func TestProjectBlockEdgeRows(t *testing.T) {
 				}
 			}
 		}
-		peng := newEngine(pm.Curve, pm.opts)
-		blockParityCheck(t, peng, mf)
-		ms := make([]float64, n)
-		mr := make([]float64, n)
-		peng.projectBlock(mf, 0, n, ms, mr)
-		for i := 0; i < n; i++ {
-			switch i % 3 {
-			case 0:
-				if ms[i] != 0 {
-					t.Fatalf("interleaved row %d: start-tangent row scored %.17g, want exactly 0", i, ms[i])
-				}
-			case 1:
-				if ms[i] != 1 {
-					t.Fatalf("interleaved row %d: end-tangent row scored %.17g, want exactly 1", i, ms[i])
-				}
-			}
-		}
+		checkEdgeRows(t, pm, newEngine(pm.Curve, pm.opts), mf, zeros, ones)
 	})
 }
 
-// TestProjectBlockColdShapes: the cold block path (grid-table seeding,
-// bracket classification, per-row refinement) vs the per-row engine on
-// random monotone curves — cubic Newton and the general-degree refinement,
-// the fused d=2/3 seeders and the generic GEMM seeder at d=8, and row
-// counts n ∈ {64, 65, 71} around the block size. The frame spans
-// [-0.3, 1.3] per coordinate, so every shape also publishes bracket-miss
-// rows exactly on s=0/1.
-func TestProjectBlockColdShapes(t *testing.T) {
+// TestProjectBlockBoundarySizes: a range projected inside a larger frame
+// must equal the same rows projected alone, at every range start and length
+// around the block size — every row is projected independently, so range
+// boundaries cannot leak into results.
+func TestProjectBlockBoundarySizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	alpha := order.MustDirection(1, -1, 1)
+	xs, _ := genBezierCloud(rng, 3*projBlockRows, alpha, 0.05)
+	m, err := Fit(xs, Options{Alpha: alpha, MaxIter: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := m.data
+	eng := newEngine(m.Curve, m.opts.withDefaults())
+	for _, lo := range []int{0, 17, projBlockRows} {
+		for _, size := range []int{1, projBlockRows - 1, projBlockRows, projBlockRows + 5} {
+			hi := lo + size
+			t.Run(fmt.Sprintf("lo=%d/n=%d", lo, size), func(t *testing.T) {
+				whole := make([]float64, full.N())
+				wresid := make([]float64, full.N())
+				eng.projectBlock(full, lo, hi, whole, wresid)
+				sub := full.Slice(lo, hi)
+				alone := make([]float64, sub.N())
+				aresid := make([]float64, sub.N())
+				eng.projectBlock(sub, 0, sub.N(), alone, aresid)
+				for i := 0; i < sub.N(); i++ {
+					if whole[lo+i] != alone[i] || wresid[lo+i] != aresid[i] {
+						t.Fatalf("range row %d differs from standalone projection", lo+i)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestScoreFrameRangeBitIdenticalToScore: batch scoring runs every row
+// through Scorer.Score, so a batch's scores equal per-row scores bit for
+// bit — across degrees (the cubic fused path and the general engine),
+// dimensions 1 to 8, and frame sizes around the cancellation block, with
+// the frame spanning [-0.3, 1.3] per normalised coordinate so bracket-miss
+// rows landing exactly on s=0/1 are part of every shape.
+func TestScoreFrameRangeBitIdenticalToScore(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	for _, deg := range []int{2, 3, 5} {
-		for _, dim := range []int{2, 3, 8} {
+		for _, dim := range []int{1, 2, 3, 8} {
 			for _, n := range []int{64, 65, 71} {
 				t.Run(fmt.Sprintf("deg=%d/d=%d/n=%d", deg, dim, n), func(t *testing.T) {
 					m := randParityModel(rng, deg, dim, ProjectorNewton)
-					u := lockstepFrame(rng, n, dim)
-					eng := newEngine(m.Curve, m.opts)
-					blockParityCheck(t, eng, u)
-					scores := make([]float64, n)
-					resid := make([]float64, n)
-					eng.projectBlock(u, 0, n, scores, resid)
+					raw := rawFrame(m, lockstepFrame(rng, n, dim))
+					batch := m.Compile().ScoreFrame(nil, raw)
+					sc := m.Compile()
 					edges := 0
-					for _, s := range scores {
+					for i := 0; i < n; i++ {
+						s := sc.Score(raw.Row(i))
+						if math.Float64bits(batch[i]) != math.Float64bits(s) {
+							t.Fatalf("row %d: batch %.17g vs Score %.17g", i, batch[i], s)
+						}
 						if s == 0 || s == 1 {
 							edges++
 						}
@@ -224,48 +219,58 @@ func TestProjectBlockColdShapes(t *testing.T) {
 	}
 }
 
-// TestProjectBlockBoundarySizes sweeps row counts around the block size so
-// every remainder shape of the batched kernels runs: n % block ∈ {0, 1,
-// block−1}, plus the 4-row micro-kernel remainders inside a block.
-func TestProjectBlockBoundarySizes(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	alpha := order.MustDirection(1, -1, 1)
-	xs, _ := genBezierCloud(rng, 3*projBlockRows, alpha, 0.05)
-	m, err := Fit(xs, Options{Alpha: alpha, MaxIter: 10})
-	if err != nil {
-		t.Fatal(err)
+// countdownCtx reports Canceled from the (after+1)-th Err call on, so a
+// test can tell exactly which poll observed the cancellation.
+type countdownCtx struct {
+	context.Context
+	after int
+	polls int
+}
+
+func (c *countdownCtx) Err() error {
+	c.polls++
+	if c.polls > c.after {
+		return context.Canceled
 	}
-	full := m.data
-	eng := newEngine(m.Curve, m.opts.withDefaults())
-	for _, n := range []int{
-		projBlockRows, 2 * projBlockRows, // n % block == 0
-		1, projBlockRows + 1, // n % block == 1
-		projBlockRows - 1, 2*projBlockRows - 1, // n % block == block−1
-		2, 3, 4, 5, 6, 7, // micro-kernel remainders
-	} {
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			blockParityCheck(t, eng, full.Slice(0, n))
+	return nil
+}
+
+// TestScoreFrameRangeCtxPollCadence pins the cancellation contract: the
+// context is polled before the first row and then once every
+// projBlockRows rows, the return value counts the rows scored, and rows
+// past a cancellation are left untouched.
+func TestScoreFrameRangeCtxPollCadence(t *testing.T) {
+	rng := rand.New(rand.NewSource(223))
+	m := randParityModel(rng, 3, 3, ProjectorNewton)
+	const lo, hi = 5, 5 + 3*projBlockRows + 7
+	raw := rawFrame(m, lockstepFrame(rng, hi, 3))
+	sc := m.Compile()
+	for _, after := range []int{0, 1, 3, 4} {
+		t.Run(fmt.Sprintf("after=%d", after), func(t *testing.T) {
+			dst := make([]float64, hi)
+			for i := range dst {
+				dst[i] = -1
+			}
+			ctx := &countdownCtx{Context: context.Background(), after: after}
+			got := sc.ScoreFrameRangeCtx(ctx, dst, raw, lo, hi)
+			want := min(after*projBlockRows, hi-lo)
+			if got != want {
+				t.Fatalf("scored %d rows, want %d", got, want)
+			}
+			for i := range dst {
+				scored := i >= lo && i < lo+want
+				if scored && dst[i] != sc.Score(raw.Row(i)) {
+					t.Fatalf("row %d: %.17g vs Score %.17g", i, dst[i], sc.Score(raw.Row(i)))
+				}
+				if !scored && dst[i] != -1 {
+					t.Fatalf("row %d outside the scored range was written", i)
+				}
+			}
 		})
-	}
-	// A mid-frame range must agree with the same rows scored alone: the
-	// per-row chains are position-independent, so stripe boundaries cannot
-	// leak into results.
-	lo, hi := 17, 17+projBlockRows+5
-	whole := make([]float64, full.N())
-	wresid := make([]float64, full.N())
-	eng.projectBlock(full, lo, hi, whole, wresid)
-	sub := full.Slice(lo, hi)
-	alone := make([]float64, sub.N())
-	aresid := make([]float64, sub.N())
-	eng.projectBlock(sub, 0, sub.N(), alone, aresid)
-	for i := 0; i < sub.N(); i++ {
-		if whole[lo+i] != alone[i] || wresid[lo+i] != aresid[i] {
-			t.Fatalf("range row %d differs from standalone projection", lo+i)
-		}
 	}
 }
 
-// TestScoreFrameRangeMatchesScore pins the serving block path to per-row
+// TestScoreFrameRangeMatchesScore pins the serving batch path to per-row
 // Scorer.Score on raw (unnormalised) rows, including the non-cubic engine
 // and the quintic fallback.
 func TestScoreFrameRangeMatchesScore(t *testing.T) {
@@ -314,7 +319,7 @@ func TestScoreFrameRangeMatchesScore(t *testing.T) {
 }
 
 // TestFitColdBlockMatchesReference: a NoWarmStart fit (every iteration runs
-// the block-batched cold pass) must agree with the same fit projected
+// the cold pass) must agree with the same fit projected
 // through the one-shot per-row reference loop — the fit-level form of the
 // parity contract. Uses score agreement of the published model against
 // scoreReference, the uncompiled projector.
@@ -333,42 +338,11 @@ func TestFitColdBlockMatchesReference(t *testing.T) {
 	}
 }
 
-// TestStageProfilingToggle smoke-tests the pprof stage labels: enabling the
-// toggle must not change results, and the block path must run with it on.
-func TestStageProfilingToggle(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	alpha := order.MustDirection(1, -1)
-	xs, _ := genBezierCloud(rng, 2*projBlockRows, alpha, 0.03)
-	m, err := Fit(xs, Options{Alpha: alpha, MaxIter: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := newEngine(m.Curve, m.opts.withDefaults())
-	n := m.data.N()
-	off := make([]float64, n)
-	resid := make([]float64, n)
-	eng.projectBlock(m.data, 0, n, off, resid)
-	EnableStageProfiling(true)
-	defer EnableStageProfiling(false)
-	if !StageProfilingEnabled() {
-		t.Fatal("toggle did not latch")
-	}
-	on := make([]float64, n)
-	eng.projectBlock(m.data, 0, n, on, resid)
-	for i := range on {
-		if on[i] != off[i] {
-			t.Fatalf("row %d: score changed under stage profiling", i)
-		}
-	}
-}
-
-// BenchmarkProjectBlock measures one cold score step over a 4096-row frame
-// through the per-row engine loop and through the block-batched seeder —
-// the per-iteration delta the grid-table seeding buys the fit's cold
-// passes and (via ScoreFrameRange) the serving batch path. The engine runs
-// the Newton strategy, the configuration serving compiles to and the one
-// where the grid seed is the dominant per-row cost.
-func BenchmarkProjectBlock(b *testing.B) {
+// BenchmarkProjectCold measures one cold score step over a 4096-row d=3
+// frame through engine.projectBlock — the per-row grid scan plus Newton
+// refinement that the fit's cold passes run. The engine runs the Newton
+// strategy, the configuration serving compiles to.
+func BenchmarkProjectCold(b *testing.B) {
 	rng := rand.New(rand.NewSource(91))
 	alpha := order.MustDirection(1, 1, -1)
 	xs, _ := genBezierCloud(rng, 4096, alpha, 0.02)
@@ -382,18 +356,9 @@ func BenchmarkProjectBlock(b *testing.B) {
 	n := m.data.N()
 	scores := make([]float64, n)
 	resid := make([]float64, n)
-	b.Run("perrow", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < n; r++ {
-				scores[r], resid[r] = eng.project(m.data.Row(r))
-			}
-		}
-	})
-	b.Run("block", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			eng.projectBlock(m.data, 0, n, scores, resid)
-		}
-	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.projectBlock(m.data, 0, n, scores, resid)
+	}
 }

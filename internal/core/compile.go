@@ -43,11 +43,6 @@ type Scorer struct {
 	smono     []float64 // flat, stride 4 (from bezier.Compiled.ShiftedMono)
 	snorm     []float64 // len 7 (from bezier.Compiled.ShiftedNormSq)
 	mn, inv   []float64
-
-	// ub is the normalised row block of the batched frame-scoring path
-	// (ScoreFrameRange): projBlockRows×Dim, allocated on first batch use so
-	// per-row scorers never pay for it.
-	ub []float64
 }
 
 // Compile builds the zero-allocation scorer for m. It is cheap — O(d·k²)
@@ -173,67 +168,26 @@ func (sc *Scorer) ScoreFrame(dst []float64, f *frame.Frame) []float64 {
 // ScoreFrameRange scores frame rows [lo, hi) into dst[lo:hi]. It is the
 // sharding primitive behind worker pools: several goroutines, each holding
 // its own Scorer, write disjoint ranges of one shared dst over one shared
-// read-only frame with no synchronisation.
-//
-// Ranges are scored through the block-batched projection path: rows are
-// normalised a block at a time into the scorer's scratch and seeded by one
-// shared grid-table GEMM instead of a per-row grid scan, with the per-row
-// Newton refinement tail unchanged. The scores carry the same 1e-12
-// agreement contract as Score — the two paths are bit-identical except when
-// two grid nodes tie to within their rounding difference. Quintic-projector
-// models (no grid seed) and dimension-mismatched frames take the per-row
-// loop, so behaviour (including the canonical dimension panic) is
-// unchanged.
+// read-only frame with no synchronisation. Each row goes through Score, so
+// a batch's scores are bit-identical to scoring the same rows one by one.
 func (sc *Scorer) ScoreFrameRange(dst []float64, f *frame.Frame, lo, hi int) {
 	sc.ScoreFrameRangeCtx(nil, dst, f, lo, hi)
 }
 
 // ScoreFrameRangeCtx is ScoreFrameRange with cooperative cancellation: ctx
-// (when non-nil) is polled between row blocks, and the call returns the
-// number of rows actually scored — hi-lo on completion, less when the
-// context was done first, in which case dst beyond lo+n is untouched. The
-// scorer is left in a consistent, reusable state either way: cancellation
-// lands only on block boundaries, never inside a kernel, so a cancelled
-// scorer can be released back to its model's pool. A nil ctx compiles to
-// one comparison per block — the uncontended serving path pays nothing.
+// (when non-nil) is polled once every projBlockRows rows, starting before
+// the first, and the call returns the number of rows actually scored —
+// hi-lo on completion, less when the context was done first, in which case
+// dst beyond lo+n is untouched. The scorer is left in a consistent,
+// reusable state either way: cancellation lands only between rows, never
+// inside a kernel, so a cancelled scorer can be released back to its
+// model's pool. A nil ctx costs one comparison per row.
 func (sc *Scorer) ScoreFrameRangeCtx(ctx context.Context, dst []float64, f *frame.Frame, lo, hi int) int {
-	d := len(sc.u)
-	if sc.eng.kind == ProjectorQuintic || f.Dim() != d {
-		for i := lo; i < hi; i++ {
-			// Match the block path's cancellation cadence on the per-row
-			// fallback: one poll per projBlockRows rows.
-			if ctx != nil && (i-lo)%projBlockRows == 0 && i > lo && ctx.Err() != nil {
-				return i - lo
-			}
-			dst[i] = sc.Score(f.Row(i))
+	for i := lo; i < hi; i++ {
+		if ctx != nil && (i-lo)%projBlockRows == 0 && ctx.Err() != nil {
+			return i - lo
 		}
-		return hi - lo
-	}
-	if sc.ub == nil {
-		sc.ub = make([]float64, projBlockRows*d)
-	}
-	for b0 := lo; b0 < hi; b0 += projBlockRows {
-		if ctx != nil && ctx.Err() != nil {
-			return b0 - lo
-		}
-		bn := hi - b0
-		if bn > projBlockRows {
-			bn = projBlockRows
-		}
-		for r := 0; r < bn; r++ {
-			row := f.Row(b0 + r)
-			u := sc.ub[r*d : r*d+d]
-			if sc.fastCubic {
-				// Same multiply-by-inverse normalisation as Score's fused
-				// fast path, so the collapsed profiles match it bit for bit.
-				for j, v := range row {
-					u[j] = (v - sc.mn[j]) * sc.inv[j]
-				}
-			} else {
-				sc.model.Norm.ApplyInto(u, row)
-			}
-		}
-		sc.eng.projectBlockPacked(sc.ub, bn, dst[b0:b0+bn], nil)
+		dst[i] = sc.Score(f.Row(i))
 	}
 	return hi - lo
 }

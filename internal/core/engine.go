@@ -1,13 +1,10 @@
 package core
 
 import (
-	"context"
 	"math"
-	"time"
 
 	"rpcrank/internal/bezier"
 	"rpcrank/internal/frame"
-	"rpcrank/internal/mat"
 	"rpcrank/internal/optimize"
 )
 
@@ -39,27 +36,10 @@ type engine struct {
 	// a per-row closure allocation.
 	distFn func(float64) float64
 
-	// Block-batched seeding scratch (projectBlockPacked): dots holds one
-	// row block's X·Fᵀ tile against the compiled grid table (lazily
-	// allocated by the wide-dimension GEMM branch; the fused d ≤ 4 kernels
-	// never need it), seeds the per-row argmin indices. Both stay nil for
-	// the quintic strategy, which takes no grid seed.
-	dots  []float64
-	seeds []int
-	// stages carries the pre-built pprof stage-label contexts; labelCtx is
-	// the goroutine-identity context they derive from (background unless a
-	// pool worker owns this engine).
-	labelCtx context.Context
-	stages   stageCtxs
-
-	// stageNs, when non-nil, accumulates wall time per projection stage —
-	// the same gemm/seed/refine split the pprof labels expose — for fit
-	// telemetry; warmRows/warmHits count warm-started projections and
-	// validated basins. One engine is owned by one goroutine, so plain
-	// fields suffice; the fit pool reads them only behind its WaitGroup
-	// barrier. All stay zero/nil outside fit runs (serving pays a single
-	// nil check per block).
-	stageNs  *FitStageNanos
+	// warmRows/warmHits count warm-started projections and validated
+	// basins for fit telemetry. One engine is owned by one goroutine, so
+	// plain fields suffice; the fit pool reads them only behind its
+	// WaitGroup barrier.
 	warmRows int64
 	warmHits int64
 
@@ -71,10 +51,9 @@ type engine struct {
 	scalarTail bool
 }
 
-// projBlockRows is the row-block size of the batched seeding path: big
-// enough that the shared grid-table GEMM amortises its setup, small enough
-// that a block's dot tile (projBlockRows × (GridCells+1) float64s) stays in
-// L1/L2 next to the rows themselves.
+// projBlockRows is the row-block size of the warm lockstep store and the
+// cancellation cadence of frame scoring: ScoreFrameRangeCtx polls its
+// context once per projBlockRows rows.
 const projBlockRows = 64
 
 // newEngine compiles c for the projection strategy in opts. opts must have
@@ -86,11 +65,6 @@ func newEngine(c *bezier.Curve, opts Options) *engine {
 		tol:   opts.ProjTol,
 		comp:  bezier.Compile(c),
 		curve: c,
-	}
-	if e.kind != ProjectorQuintic {
-		// The grid table lives on the shared Compiled: clones seed off the
-		// same block, and CompileInto rebuilds it alongside the coefficients.
-		e.comp.EnsureGrid(e.cells)
 	}
 	e.initScratch()
 	return e
@@ -104,15 +78,6 @@ func (e *engine) initScratch() {
 	e.distFn = func(s float64) float64 {
 		return bezier.EvalPoly(e.dc, s-bezier.DistPolyOrigin)
 	}
-	if e.kind != ProjectorQuintic {
-		// dots (the GEMM tile, ~17KB at the default grid) is only read by
-		// the wide-dimension branch of projectBlockPacked; it is allocated
-		// lazily there so the d ≤ 4 reality never carries it.
-		e.seeds = make([]int, projBlockRows)
-	}
-	if e.labelCtx == nil {
-		e.labelCtx = context.Background()
-	}
 }
 
 // clone returns an engine sharing the compiled coefficients but owning
@@ -121,23 +86,6 @@ func (e *engine) clone() *engine {
 	c := &engine{kind: e.kind, cells: e.cells, tol: e.tol, comp: e.comp, curve: e.curve, scalarTail: e.scalarTail}
 	c.initScratch()
 	return c
-}
-
-// setLabelCtx rebinds the engine's pprof stage labels onto ctx, so a pool
-// worker's identity label survives the stage toggles of the block path.
-func (e *engine) setLabelCtx(ctx context.Context) {
-	e.labelCtx = ctx
-	e.stages = stageCtxs{}
-}
-
-// stageLabels returns the engine's pre-built stage-label contexts, building
-// them on first use: label contexts cost a handful of allocations each, so
-// engines only pay for them once stage profiling actually runs a block.
-func (e *engine) stageLabels() *stageCtxs {
-	if e.stages.base == nil {
-		e.stages = newStageCtxs(e.labelCtx)
-	}
-	return &e.stages
 }
 
 // recompile points the engine at c and rebuilds the compiled coefficients
@@ -259,19 +207,7 @@ func (e *engine) projectSeeded() (float64, float64) {
 			bestV, bestI = v, i
 		}
 	}
-	return e.refineSeed(bestI, bestV)
-}
 
-// refineSeed is projectSeeded after its grid pass: bracket classification,
-// strategy refinement, and safeguarded Newton around grid node bestI, whose
-// profile value is bestV. The block-batched path lands here with a seed
-// found by the shared grid-table GEMM instead of the per-row scan — bestV is
-// then re-evaluated from the collapsed profile with the same EvalPoly call
-// the scan uses, so block and per-row projections are bit-identical whenever
-// they agree on the argmin node (and within the 1e-12 engine contract when a
-// near-exact tie makes them disagree).
-func (e *engine) refineSeed(bestI int, bestV float64) (float64, float64) {
-	h := 1 / float64(e.cells)
 	lo := float64(bestI-1) * h
 	hi := float64(bestI+1) * h
 	if lo < 0 {
@@ -390,11 +326,9 @@ func cubicNewtonKernel(c0, c1, c2, c3, c4, c5, c6 float64, cells int, wantDist b
 
 // cubicNewtonFromSeed is cubicNewtonKernel after its grid scan: bracket
 // classification, parabolic sharpening, and the Estrin-form safeguarded
-// Newton refinement around grid node bestI with profile value bestV. The
-// block-batched seeder calls it directly, having found bestI through the
-// shared GEMM and re-evaluated bestV with the scan's own Estrin expression —
-// the split is pure extraction, so the per-row kernel's results are
-// unchanged bit for bit.
+// Newton refinement around grid node bestI with profile value bestV. It
+// stays a separate function because folding it into cubicNewtonKernel made
+// the cold 4096-row step (BenchmarkProjectCold) about 6% slower.
 func cubicNewtonFromSeed(c0, c1, c2, c3, c4, c5, c6 float64, cells, bestI int, bestV float64, wantDist bool) (float64, float64) {
 	s, lo, hi, refine := cubicSeedBracket(c0, c1, c2, c3, c4, c5, c6, cells, bestI, bestV)
 	if !refine {
@@ -490,305 +424,14 @@ func cubicSeedBracket(c0, c1, c2, c3, c4, c5, c6 float64, cells, bestI int, best
 	return start, lo, hi, true
 }
 
-// projectBlock projects frame rows [lo, hi), writing scores[i] (and
-// resid[i] when resid is non-nil) for each global row index i — the
-// block-batched form of a project loop. Rows are seeded in blocks of
-// projBlockRows through one shared grid-table GEMM (see projectBlockPacked)
-// instead of per-row grid scans; the refinement tail is the per-row decision
-// tree unchanged. Strategies without a grid seed (quintic) and strided
-// frames fall back to the per-row loop, so the call is always safe.
+// projectBlock projects frame rows [lo, hi) through project, writing
+// scores[i] and resid[i] for each global row index i. Every row is seeded
+// by its own grid scan, so a row's result never depends on the range it
+// was projected in.
 func (e *engine) projectBlock(u *frame.Frame, lo, hi int, scores, resid []float64) {
-	if e.kind == ProjectorQuintic || u.Stride() != u.Dim() {
-		if resid == nil {
-			for i := lo; i < hi; i++ {
-				scores[i], _ = e.project(u.Row(i))
-			}
-			return
-		}
-		for i := lo; i < hi; i++ {
-			scores[i], resid[i] = e.project(u.Row(i))
-		}
-		return
+	for i := lo; i < hi; i++ {
+		scores[i], resid[i] = e.project(u.Row(i))
 	}
-	var rs []float64
-	if resid != nil {
-		rs = resid[lo:hi]
-	}
-	e.projectBlockPacked(u.Block(lo, hi), hi-lo, scores[lo:hi], rs)
-}
-
-// projectBlockPacked is the block-batched seeding kernel over nrows packed
-// d-dimensional rows (data row r at [r·d, (r+1)·d)): per block of
-// projBlockRows rows it forms the dot tile X_block·Fᵀ against the compiled
-// grid table with the register-blocked GEMM, reduces each row's grid
-// distances ‖x‖² − 2·x·f(t_g) + ‖f(t_g)‖² to the argmin node (the ‖x‖² term
-// is constant per row and dropped), and finishes each row through the
-// shared refinement tail. scores gets every row; resid may be nil when the
-// caller only needs scores (serving), which also lets the cubic kernel skip
-// its final distance evaluation. Rows must already be normalised.
-//
-// Tie-breaking note: the scan keeps the lowest node index under strict <,
-// exactly like the per-row grid pass; the two paths can only disagree on
-// the argmin when two nodes tie to within the rounding difference between
-// the GEMM form and the collapsed-profile Horner form, which the ≤1e-12
-// block parity contract absorbs.
-func (e *engine) projectBlockPacked(data []float64, nrows int, scores, resid []float64) {
-	d := e.comp.Dim()
-	G := e.comp.GridCells() + 1
-	grid := e.comp.GridTable()
-	gnorm := e.comp.GridNormSq()
-	profile := stageProfiling.Load()
-	var st *stageCtxs
-	if profile {
-		st = e.stageLabels()
-	}
-	timing := e.stageNs != nil
-	var tmark time.Time
-	if timing {
-		tmark = time.Now()
-	}
-	for b0 := 0; b0 < nrows; b0 += projBlockRows {
-		bn := nrows - b0
-		if bn > projBlockRows {
-			bn = projBlockRows
-		}
-		block := data[b0*d : (b0+bn)*d]
-		switch d {
-		case 2, 3, 4:
-			// Small ambient dimensions — the serving and fit reality — go
-			// through fused micro-kernels: four rows share every grid-row
-			// load and the argmin folds into the dot accumulation, so no
-			// dot tile is ever stored and reloaded.
-			if profile {
-				st.set(st.seed)
-			}
-			switch d {
-			case 2:
-				seedBlockDim2(e.seeds, block, grid, gnorm, bn, G)
-			case 3:
-				seedBlockDim3(e.seeds, block, grid, gnorm, bn, G)
-			default:
-				seedBlockDim4(e.seeds, block, grid, gnorm, bn, G)
-			}
-			if timing {
-				markStage(&e.stageNs.SeedNs, &tmark)
-			}
-		default:
-			// Wider rows amortise the tile bookkeeping: the register-blocked
-			// GEMM forms the dot tile, then a flat scan reduces each row.
-			if profile {
-				st.set(st.gemm)
-			}
-			if e.dots == nil {
-				e.dots = make([]float64, projBlockRows*G)
-			}
-			mat.GemmABT(e.dots, G, block, d, grid, d, bn, G, d)
-			if timing {
-				markStage(&e.stageNs.GemmNs, &tmark)
-			}
-			if profile {
-				st.set(st.seed)
-			}
-			for r := 0; r < bn; r++ {
-				drow := e.dots[r*G : r*G+G]
-				bestI := 0
-				bestV := math.Inf(1)
-				for g, dot := range drow {
-					if v := gnorm[g] - 2*dot; v < bestV {
-						bestV, bestI = v, g
-					}
-				}
-				e.seeds[r] = bestI
-			}
-			if timing {
-				markStage(&e.stageNs.SeedNs, &tmark)
-			}
-		}
-		if profile {
-			st.set(st.refine)
-		}
-		for r := 0; r < bn; r++ {
-			i := b0 + r
-			s, dist := e.projectRowSeeded(data[i*d:i*d+d], e.seeds[r], resid != nil)
-			scores[i] = s
-			if resid != nil {
-				resid[i] = dist
-			}
-		}
-		if timing {
-			markStage(&e.stageNs.RefineNs, &tmark)
-		}
-	}
-	if profile {
-		st.set(st.base)
-	}
-}
-
-// The seedBlockDim kernels reduce up to four rows at a time against the
-// grid table: per node they load the curve point and its squared norm once,
-// then each row contributes d multiply-adds and one compare. The row factor
-// 2·u is hoisted so the per-node work is ‖f_g‖² − (2u)·f_g — the grid
-// distance minus the row-constant ‖u‖², a monotone transform that preserves
-// the argmin. Every row's reduction chain is independent of its position in
-// the block, so stripe and block boundaries can never change a result.
-
-func seedBlockDim3(seeds []int, rows, grid, gnorm []float64, bn, G int) {
-	r := 0
-	for ; r+4 <= bn; r += 4 {
-		x := rows[r*3 : r*3+12]
-		a0, a1, a2 := 2*x[0], 2*x[1], 2*x[2]
-		b0, b1, b2 := 2*x[3], 2*x[4], 2*x[5]
-		c0, c1, c2 := 2*x[6], 2*x[7], 2*x[8]
-		d0, d1, d2 := 2*x[9], 2*x[10], 2*x[11]
-		va, vb, vc, vd := math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)
-		ia, ib, ic, id := 0, 0, 0, 0
-		for g := 0; g < G; g++ {
-			f := grid[g*3 : g*3+3]
-			f0, f1, f2 := f[0], f[1], f[2]
-			n2 := gnorm[g]
-			if v := n2 - (a0*f0 + a1*f1 + a2*f2); v < va {
-				va, ia = v, g
-			}
-			if v := n2 - (b0*f0 + b1*f1 + b2*f2); v < vb {
-				vb, ib = v, g
-			}
-			if v := n2 - (c0*f0 + c1*f1 + c2*f2); v < vc {
-				vc, ic = v, g
-			}
-			if v := n2 - (d0*f0 + d1*f1 + d2*f2); v < vd {
-				vd, id = v, g
-			}
-		}
-		seeds[r], seeds[r+1], seeds[r+2], seeds[r+3] = ia, ib, ic, id
-	}
-	for ; r < bn; r++ {
-		x := rows[r*3 : r*3+3]
-		a0, a1, a2 := 2*x[0], 2*x[1], 2*x[2]
-		best, bi := math.Inf(1), 0
-		for g := 0; g < G; g++ {
-			f := grid[g*3 : g*3+3]
-			if v := gnorm[g] - (a0*f[0] + a1*f[1] + a2*f[2]); v < best {
-				best, bi = v, g
-			}
-		}
-		seeds[r] = bi
-	}
-}
-
-func seedBlockDim2(seeds []int, rows, grid, gnorm []float64, bn, G int) {
-	r := 0
-	for ; r+4 <= bn; r += 4 {
-		x := rows[r*2 : r*2+8]
-		a0, a1 := 2*x[0], 2*x[1]
-		b0, b1 := 2*x[2], 2*x[3]
-		c0, c1 := 2*x[4], 2*x[5]
-		d0, d1 := 2*x[6], 2*x[7]
-		va, vb, vc, vd := math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)
-		ia, ib, ic, id := 0, 0, 0, 0
-		for g := 0; g < G; g++ {
-			f := grid[g*2 : g*2+2]
-			f0, f1 := f[0], f[1]
-			n2 := gnorm[g]
-			if v := n2 - (a0*f0 + a1*f1); v < va {
-				va, ia = v, g
-			}
-			if v := n2 - (b0*f0 + b1*f1); v < vb {
-				vb, ib = v, g
-			}
-			if v := n2 - (c0*f0 + c1*f1); v < vc {
-				vc, ic = v, g
-			}
-			if v := n2 - (d0*f0 + d1*f1); v < vd {
-				vd, id = v, g
-			}
-		}
-		seeds[r], seeds[r+1], seeds[r+2], seeds[r+3] = ia, ib, ic, id
-	}
-	for ; r < bn; r++ {
-		x := rows[r*2 : r*2+2]
-		a0, a1 := 2*x[0], 2*x[1]
-		best, bi := math.Inf(1), 0
-		for g := 0; g < G; g++ {
-			f := grid[g*2 : g*2+2]
-			if v := gnorm[g] - (a0*f[0] + a1*f[1]); v < best {
-				best, bi = v, g
-			}
-		}
-		seeds[r] = bi
-	}
-}
-
-func seedBlockDim4(seeds []int, rows, grid, gnorm []float64, bn, G int) {
-	r := 0
-	for ; r+4 <= bn; r += 4 {
-		x := rows[r*4 : r*4+16]
-		a0, a1, a2, a3 := 2*x[0], 2*x[1], 2*x[2], 2*x[3]
-		b0, b1, b2, b3 := 2*x[4], 2*x[5], 2*x[6], 2*x[7]
-		c0, c1, c2, c3 := 2*x[8], 2*x[9], 2*x[10], 2*x[11]
-		d0, d1, d2, d3 := 2*x[12], 2*x[13], 2*x[14], 2*x[15]
-		va, vb, vc, vd := math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)
-		ia, ib, ic, id := 0, 0, 0, 0
-		for g := 0; g < G; g++ {
-			f := grid[g*4 : g*4+4]
-			f0, f1, f2, f3 := f[0], f[1], f[2], f[3]
-			n2 := gnorm[g]
-			if v := n2 - (a0*f0 + a1*f1 + a2*f2 + a3*f3); v < va {
-				va, ia = v, g
-			}
-			if v := n2 - (b0*f0 + b1*f1 + b2*f2 + b3*f3); v < vb {
-				vb, ib = v, g
-			}
-			if v := n2 - (c0*f0 + c1*f1 + c2*f2 + c3*f3); v < vc {
-				vc, ic = v, g
-			}
-			if v := n2 - (d0*f0 + d1*f1 + d2*f2 + d3*f3); v < vd {
-				vd, id = v, g
-			}
-		}
-		seeds[r], seeds[r+1], seeds[r+2], seeds[r+3] = ia, ib, ic, id
-	}
-	for ; r < bn; r++ {
-		x := rows[r*4 : r*4+4]
-		a0, a1, a2, a3 := 2*x[0], 2*x[1], 2*x[2], 2*x[3]
-		best, bi := math.Inf(1), 0
-		for g := 0; g < G; g++ {
-			f := grid[g*4 : g*4+4]
-			if v := gnorm[g] - (a0*f[0] + a1*f[1] + a2*f[2] + a3*f[3]); v < best {
-				best, bi = v, g
-			}
-		}
-		seeds[r] = bi
-	}
-}
-
-// projectRowSeeded collapses one normalised row's distance profile and runs
-// the refinement tail from grid node bestI: the per-row decision tree with
-// the grid scan replaced by the block seeder's answer. The seed's profile
-// value is re-evaluated here with the scan's own arithmetic, which is what
-// keeps the block path bit-identical to project whenever the argmin node
-// agrees. wantDist false skips the cubic kernel's final distance evaluation
-// (serving needs only the score).
-func (e *engine) projectRowSeeded(u []float64, bestI int, wantDist bool) (float64, float64) {
-	e.comp.DistPolyInto(e.dc, u)
-	if e.kind == ProjectorNewton && len(e.dc) == 7 {
-		c := e.dc
-		t := float64(bestI)*(1/float64(e.cells)) - bezier.DistPolyOrigin
-		t2 := t * t
-		bestV := (c[0] + c[1]*t) + t2*((c[2]+c[3]*t)+t2*((c[4]+c[5]*t)+t2*c[6]))
-		return cubicNewtonFromSeed(c[0], c[1], c[2], c[3], c[4], c[5], c[6], e.cells, bestI, bestV, wantDist)
-	}
-	e.fillDerivatives()
-	s0 := float64(bestI) * (1 / float64(e.cells))
-	bestV := bezier.EvalPoly(e.dc, s0-bezier.DistPolyOrigin)
-	return e.refineSeed(bestI, bestV)
-}
-
-// markStage accumulates the time since *tmark into *acc and advances the
-// mark — the fit-telemetry twin of the pprof stage-label toggles.
-func markStage(acc *int64, tmark *time.Time) {
-	now := time.Now()
-	*acc += now.Sub(*tmark).Nanoseconds()
-	*tmark = now
 }
 
 // nonNeg clamps the collapsed profile's value at zero: for rows on the

@@ -315,8 +315,8 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 	haveWarm := false
 
 	// Fit telemetry: the per-iteration trace and warm-start deltas are
-	// collected as the loop runs; stage totals come from the pool engines
-	// at the end. restartTotal is 0 outside fitMultiStartN.
+	// collected as the loop runs; the warm-start hit rate comes from the
+	// pool engines at the end. restartTotal is 0 outside fitMultiStartN.
 	diag := &FitDiagnostics{Restart: opts.restartIndex, Restarts: opts.restartTotal}
 	if diag.Restarts == 0 {
 		diag.Restarts = 1
@@ -499,7 +499,6 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 	diag.Iterations = m.Iterations
 	diag.Converged = m.Converged
 	diag.FinalObjective = finalJ
-	diag.Stages = pool.stageTotals()
 	if wr, wh := pool.warmCounts(); wr > 0 {
 		diag.WarmStartHitRate = float64(wh) / float64(wr)
 	}
@@ -609,9 +608,8 @@ func constrainCurve(c *bezier.Curve, opts Options, d, k int) {
 // call, not re-derived per row, the rows are strided views into one
 // contiguous array, and each worker goroutine gets its own scratch via
 // engine.clone, so the parallel result stays bit-identical to the serial
-// one. Stripes project through the block-batched seeder (engine.projectBlock),
-// which is boundary-independent row by row, so the worker count still never
-// changes a bit of the result. The fit run (iterations and the final
+// one. Stripes project row by row (engine.projectBlock), so the worker count
+// never changes a bit of the result. The fit run (iterations and the final
 // best-curve projection alike) projects through a persistent projPool
 // instead; this one-shot form serves callers outside the fit loop.
 func projectAll(c *bezier.Curve, u *frame.Frame, scores, resid []float64, opts Options) {
@@ -680,27 +678,17 @@ type projPool struct {
 // the same threshold projectAll applies.
 func newProjPool(c *bezier.Curve, u *frame.Frame, opts Options) *projPool {
 	p := &projPool{u: u, engines: []*engine{newEngine(c, opts)}}
-	// Every pool engine gets its own stage-time accumulator (fresh, never
-	// shared: engines run on different goroutines) so the fit can report
-	// the gemm/seed/refine breakdown; telemetry() sums them while the
-	// workers are parked.
-	p.engines[0].stageNs = &FitStageNanos{}
 	workers := resolveWorkers(opts.Workers)
 	if workers > 1 && u.N() >= 4*workers {
 		for w := 1; w < workers; w++ {
 			e := p.engines[0].clone()
-			e.stageNs = &FitStageNanos{}
 			ch := make(chan projJob, 1)
 			p.engines = append(p.engines, e)
 			p.chans = append(p.chans, ch)
 			go func(e *engine, ch chan projJob) {
 				// The worker label makes pool goroutines identifiable in
-				// profiles; the engine's stage labels (stage=gemm|seed|
-				// refine, when enabled) derive from it so neither erases
-				// the other.
-				ctx := pprof.WithLabels(context.Background(), pprof.Labels("worker", "fit-proj"))
-				pprof.SetGoroutineLabels(ctx)
-				e.setLabelCtx(ctx)
+				// profiles.
+				pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("worker", "fit-proj")))
 				for job := range ch {
 					p.runRange(e, job.lo, job.hi)
 					p.wg.Done()
@@ -749,9 +737,9 @@ func (p *projPool) project(c *bezier.Curve, scores, resid, warm []float64) {
 
 // runRange projects rows [lo, hi) through e, trying the warm start first
 // when one is available. Cold passes (the first iteration, NoWarmStart
-// runs, and the final best-curve projection) take the block-batched seeding
-// path; warm rows are seeded from their previous score and never scan the
-// grid unless the basin check fails.
+// runs, and the final best-curve projection) seed every row by its own
+// grid scan; warm rows are seeded from their previous score and never scan
+// the grid unless the basin check fails.
 func (p *projPool) runRange(e *engine, lo, hi int) {
 	warm := p.warm
 	if warm == nil {
@@ -774,20 +762,6 @@ func (p *projPool) warmCounts() (rows, hits int64) {
 		hits += e.warmHits
 	}
 	return rows, hits
-}
-
-// stageTotals sums the per-engine projection stage breakdown. Same
-// parked-workers precondition as warmCounts.
-func (p *projPool) stageTotals() FitStageNanos {
-	var t FitStageNanos
-	for _, e := range p.engines {
-		if e.stageNs != nil {
-			t.GemmNs += e.stageNs.GemmNs
-			t.SeedNs += e.stageNs.SeedNs
-			t.RefineNs += e.stageNs.RefineNs
-		}
-	}
-	return t
 }
 
 // close shuts the worker goroutines down. The pool must not be used after.

@@ -18,8 +18,8 @@ import (
 // compare); interleaving eight independent chains lets the CPU overlap
 // them, which is where the speedup comes from — the arithmetic per row is
 // exactly the scalar kernel's. Cold projections (serving, and the fit's
-// cold passes) refine per row through projectRowSeeded: interleaved A/B
-// runs showed lanes lose or tie there, and win only on the warm sweeps.
+// cold passes) seed and refine per row through engine.project: interleaved
+// A/B runs showed lanes lose or tie there, and win only on the warm sweeps.
 //
 // Bit-stability invariants (pinned by TestLockstepWarmMatchesScalarTail):
 //

@@ -26,27 +26,16 @@ type FitIteration struct {
 	WarmHits int `json:"warm_hits,omitempty"`
 }
 
-// FitStageNanos is the projection-stage time breakdown of a fit run,
-// the same gemm/seed/refine split the pprof stage labels
-// (EnableStageProfiling) expose, measured directly as nanoseconds. Cold
-// block-batched projection passes are attributed stage by stage; the
-// per-row warm path has no grid/GEMM stage and is not broken down.
-type FitStageNanos struct {
-	GemmNs   int64 `json:"gemm_ns,omitempty"`
-	SeedNs   int64 `json:"seed_ns,omitempty"`
-	RefineNs int64 `json:"refine_ns,omitempty"`
-}
-
 // maxFitTrace bounds the retained per-iteration trace so a pathological
 // MaxIter cannot bloat the model document; the scalar summary fields are
 // exact regardless.
 const maxFitTrace = 1024
 
 // FitDiagnostics is the retained telemetry of the fit run that produced a
-// model: scalar summary, per-iteration trace, warm-start effectiveness,
-// and the projection stage breakdown. It rides on Model.FitDiag and is
-// persisted by the registry next to the model's metadata (not inside the
-// saved rule document, which stays a pure serving artifact).
+// model: scalar summary, per-iteration trace and warm-start effectiveness.
+// It rides on Model.FitDiag and is persisted by the registry next to the
+// model's metadata (not inside the saved rule document, which stays a pure
+// serving artifact).
 type FitDiagnostics struct {
 	// Restart is the index of the restart that won (0 for single-start
 	// fits); Restarts is how many ran.
@@ -63,8 +52,6 @@ type FitDiagnostics struct {
 	// WarmStartHitRate is warm hits / warm rows over the whole run
 	// (0 when the run projected cold throughout).
 	WarmStartHitRate float64 `json:"warm_start_hit_rate"`
-	// Stages is the projection-stage time breakdown across the run.
-	Stages FitStageNanos `json:"stages"`
 	// Trace is the per-iteration record, capped at maxFitTrace entries
 	// (TraceTruncated reports the cap fired).
 	Trace          []FitIteration `json:"trace,omitempty"`

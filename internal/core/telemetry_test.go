@@ -76,15 +76,6 @@ func TestFitDiagnosticsCollected(t *testing.T) {
 	if d.WarmStartHitRate < 0 || d.WarmStartHitRate > 1 {
 		t.Errorf("warm-start hit rate %v out of [0,1]", d.WarmStartHitRate)
 	}
-	// The stage breakdown must have recorded real time: refine always runs
-	// on cold passes, and the run had at least two cold passes (iteration 0
-	// and the final best-curve projection).
-	if d.Stages.RefineNs <= 0 {
-		t.Errorf("refine stage recorded %dns, want > 0", d.Stages.RefineNs)
-	}
-	if d.Stages.GemmNs < 0 || d.Stages.SeedNs < 0 {
-		t.Errorf("negative stage time: %+v", d.Stages)
-	}
 }
 
 func TestFitDiagnosticsNoWarmStart(t *testing.T) {

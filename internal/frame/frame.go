@@ -262,22 +262,6 @@ func (f *Frame) Data() []float64 {
 	return f.data[:f.n*f.d]
 }
 
-// Block returns the backing slice covering rows [lo, hi) of a packed frame
-// (Stride() == Dim()): row r of the block starts at r·Dim. It is the raw
-// view batch kernels (the block-batched projection seeder) multiply against
-// without a per-row Row call; callers must treat it as read-only unless they
-// own the frame. It panics on strided views, whose backing interleaves rows
-// with foreign data, and on an out-of-range row range.
-func (f *Frame) Block(lo, hi int) []float64 {
-	if f.stride != f.d {
-		panic("frame: Block on a strided view")
-	}
-	if lo < 0 || hi < lo || hi > f.n {
-		panic(fmt.Sprintf("frame: Block(%d, %d) of %d rows", lo, hi, f.n))
-	}
-	return f.data[lo*f.d : hi*f.d : hi*f.d]
-}
-
 // Cap returns the value capacity of the backing array, for pool size caps.
 func (f *Frame) Cap() int { return cap(f.data) }
 

@@ -8,17 +8,16 @@ import (
 
 // TestMulABTBlockedMatchesNaive pins the blocked kernel to MulABTInto bit
 // for bit across shapes that exercise every micro-kernel remainder: columns
-// around multiples of eight (the wide block) and of four (the remainder
-// block), rows around multiples of four, degenerate single-row/column cases,
-// and long shared dimensions.
+// and rows around multiples of four, degenerate single-row/column cases,
+// wide products, and long shared dimensions.
 func TestMulABTBlockedMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := [][3]int{
 		{4, 4, 4}, {8, 8, 16}, {5, 7, 3}, {1, 1, 1}, {1, 9, 257},
 		{3, 33, 3}, {4, 33, 3}, {7, 33, 4}, {64, 33, 3}, {13, 5, 100},
 		{4, 5, 1}, {6, 4, 2}, {12, 3, 7},
-		// n % 8 ∈ {0, 1, ..., 7} with n ≥ 8, so the 8-wide block runs and
-		// every combination of 4-wide and scalar tail follows it.
+		// n ≥ 8 with every n % 4, so several 4-wide blocks run before the
+		// scalar column tail.
 		{4, 8, 5}, {5, 9, 6}, {8, 10, 7}, {9, 11, 4}, {4, 12, 9},
 		{7, 13, 3}, {6, 14, 8}, {4, 15, 2}, {5, 16, 11}, {8, 23, 5},
 		{3, 17, 4}, {1, 25, 6}, {64, 40, 4},
@@ -40,8 +39,7 @@ func TestMulABTBlockedMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestGemmABTRowStripesMatchWhole: computing C in row stripes — the way
-// the projection seeder calls the kernel one row block at a time — must be
+// TestGemmABTRowStripesMatchWhole: computing C in row stripes must be
 // invisible in the result at any stripe count, because each output cell
 // keeps one serial accumulation chain wherever its stripe starts.
 func TestGemmABTRowStripesMatchWhole(t *testing.T) {
@@ -50,13 +48,13 @@ func TestGemmABTRowStripesMatchWhole(t *testing.T) {
 	a := randDense(rng, m, k)
 	b := randDense(rng, n, k)
 	want := Zeros(m, n)
-	GemmABT(want.data, n, a.data, k, b.data, k, m, n, k)
+	gemmABT(want.data, n, a.data, k, b.data, k, m, n, k)
 	for _, stripes := range []int{1, 2, 3, 4, 16, 67} {
 		got := Zeros(m, n)
 		chunk := (m + stripes - 1) / stripes
 		for lo := 0; lo < m; lo += chunk {
 			hi := min(lo+chunk, m)
-			GemmABT(got.data[lo*n:], n, a.data[lo*k:], k, b.data, k, hi-lo, n, k)
+			gemmABT(got.data[lo*n:], n, a.data[lo*k:], k, b.data, k, hi-lo, n, k)
 		}
 		for i := range want.data {
 			if got.data[i] != want.data[i] {
@@ -67,7 +65,7 @@ func TestGemmABTRowStripesMatchWhole(t *testing.T) {
 }
 
 // TestGemmABTStrided drives the flat kernel with row strides wider than the
-// logical width — the layout frame row ranges and padded tiles hand it.
+// logical width.
 func TestGemmABTStrided(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m, n, k := 6, 5, 3
@@ -81,7 +79,7 @@ func TestGemmABTStrided(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	GemmABT(c, ldc, a, lda, b, ldb, m, n, k)
+	gemmABT(c, ldc, a, lda, b, ldb, m, n, k)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			var want float64
@@ -117,8 +115,7 @@ func TestMulABTBlockedPanics(t *testing.T) {
 }
 
 // BenchmarkGemmABT compares the naive and blocked A·Bᵀ on the fit loop's
-// X·MZᵀ shape (d×n times (k+1)×n) and on the projection seeder's row-block
-// shape (64 rows against a 33-node grid table).
+// X·MZᵀ shape (d×n times (k+1)×n).
 func BenchmarkGemmABT(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	shapes := []struct {
@@ -126,7 +123,6 @@ func BenchmarkGemmABT(b *testing.B) {
 		m, n, k int
 	}{
 		{"fit-xmzt", 4, 4, 4096},
-		{"seed-block", 64, 33, 4},
 	}
 	for _, sh := range shapes {
 		x := randDense(rng, sh.m, sh.k)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -171,29 +170,4 @@ func BenchmarkServerScoreHTTP(b *testing.B) {
 			b.ReportMetric(float64(size)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 		})
 	}
-}
-
-// BenchmarkPoolScoreBatch isolates the worker pool from HTTP and JSON, for
-// profiling the raw sharded scoring path over a contiguous frame.
-func BenchmarkPoolScoreBatch(b *testing.B) {
-	train := make([][]float64, 64)
-	for i := range train {
-		u := float64(i) / 63
-		train[i] = []float64{10 * u, 5*u*u + 1, 3 - 2*u}
-	}
-	m, err := core.Fit(train, core.Options{Alpha: order.MustDirection(1, 1, -1), Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pool := NewPool(0)
-	defer pool.Close()
-	rows := benchRows(10_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := pool.ScoreBatch(context.Background(), m, rows)
-		if err != nil || len(out) != len(rows) {
-			b.Fatal("short result")
-		}
-	}
-	b.ReportMetric(float64(len(rows))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }

@@ -96,19 +96,10 @@ func NewPool(workers int) *Pool {
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	// Label the worker goroutine so CPU profiles of rpcd separate pool
-	// scoring from handler work. The projection engine's finer
-	// stage=gemm|seed|refine labels (core.EnableStageProfiling) replace
-	// the label while a block is in flight and reset to the engine's base
-	// (background — pooled scorers are shared across workers, so they
-	// cannot carry one worker's identity); re-apply the worker label after
-	// each task when stages are active, from a context built once.
-	ctx := pprof.WithLabels(context.Background(), pprof.Labels("worker", "score-pool"))
-	pprof.SetGoroutineLabels(ctx)
+	// scoring from handler work.
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("worker", "score-pool")))
 	for t := range p.tasks {
 		p.runTask(t)
-		if core.StageProfilingEnabled() {
-			pprof.SetGoroutineLabels(ctx)
-		}
 	}
 }
 
