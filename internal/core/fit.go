@@ -140,8 +140,8 @@ func fitMultiStart(f *frame.Frame, opts Options) (*Model, error) {
 // resolveWorkers maps an Options.Workers value onto a concrete goroutine
 // width: -1 means machine-wide, anything below 1 means serial. Every site
 // sizing fit parallelism — restart fan-out, the worker split across
-// restarts, the projection pool, one-shot projectAll — resolves through
-// here so the semantics cannot drift apart.
+// restarts, the projection pool — resolves through here so the semantics
+// cannot drift apart.
 func resolveWorkers(w int) int {
 	if w == -1 {
 		return runtime.GOMAXPROCS(0)
@@ -486,8 +486,8 @@ func fitPrepared(sh *fitShared, opts Options) (*Model, error) {
 	// Final projection against the best curve so scores/residuals match it.
 	// Deliberately cold (grid-seeded): the model's published scores carry no
 	// dependence on the warm-start trajectory, only on the final curve. The
-	// pool's cold pass is bit-identical to a fresh projectAll and reuses the
-	// run's engines instead of compiling and spawning once more.
+	// pool's cold pass reuses the run's engines instead of compiling and
+	// spawning once more.
 	pool.project(bestCurve, bestScores, bestResid, nil)
 	finalJ := sum(bestResid)
 	m.Curve = bestCurve
@@ -603,55 +603,11 @@ func constrainCurve(c *bezier.Curve, opts Options, d, k int) {
 	}
 }
 
-// projectAll runs one cold score step (Eq. 22) over every frame row through
-// a freshly compiled projection engine: the curve is compiled once per
-// call, not re-derived per row, the rows are strided views into one
-// contiguous array, and each worker goroutine gets its own scratch via
-// engine.clone, so the parallel result stays bit-identical to the serial
-// one. Stripes project row by row (engine.projectBlock), so the worker count
-// never changes a bit of the result. The fit run (iterations and the final
-// best-curve projection alike) projects through a persistent projPool
-// instead; this one-shot form serves callers outside the fit loop.
-func projectAll(c *bezier.Curve, u *frame.Frame, scores, resid []float64, opts Options) {
-	eng := newEngine(c, opts)
-	workers := resolveWorkers(opts.Workers)
-	n := u.N()
-	if workers <= 1 || n < 4*workers {
-		eng.projectBlock(u, 0, n, scores, resid)
-		return
-	}
-	// Each worker owns a disjoint index stripe of the shared frame, so no
-	// synchronisation beyond the WaitGroup is needed.
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		e := eng
-		if w > 0 {
-			e = eng.clone()
-		}
-		go func(e *engine, lo, hi int) {
-			defer wg.Done()
-			e.projectBlock(u, lo, hi, scores, resid)
-		}(e, lo, hi)
-	}
-	wg.Wait()
-}
-
 // projJob is one stripe of rows for a pool worker to project.
 type projJob struct{ lo, hi int }
 
-// projPool is the persistent projection worker pool of one fit run. Where
-// projectAll compiles a fresh engine and spawns fresh goroutines per call,
-// the pool is built once per fit: worker goroutines park on per-worker job
+// projPool is the persistent projection worker pool of one fit run. The
+// pool is built once per fit: worker goroutines park on per-worker job
 // channels across iterations, every worker keeps its engine (and scratch)
 // for the whole run, and all engines share one bezier.Compiled that
 // project() rebuilds in place (engine.recompile) each iteration.
@@ -674,8 +630,8 @@ type projPool struct {
 }
 
 // newProjPool builds the pool for u with the worker count opts asks for,
-// spawning the extra goroutines immediately. Small inputs stay serial under
-// the same threshold projectAll applies.
+// spawning the extra goroutines immediately. Inputs under four rows per
+// worker stay serial.
 func newProjPool(c *bezier.Curve, u *frame.Frame, opts Options) *projPool {
 	p := &projPool{u: u, engines: []*engine{newEngine(c, opts)}}
 	workers := resolveWorkers(opts.Workers)

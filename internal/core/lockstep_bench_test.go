@@ -54,10 +54,10 @@ func refineBenchSetup(b *testing.B, deg, dim int, n int) (lock, scalar *engine, 
 }
 
 // BenchmarkRefineTail pins the warm refinement tail itself: warm/scalar is
-// the per-row projectWarm loop, warm/lockstep the SoA lane kernel
-// (projectWarmBlock), over cubic (the fit's default degree) and a
-// general-degree profile, at the ambient dimensions the fused seeders and
-// the GEMM branch serve.
+// the per-row projectWarm loop, warm/lockstep the production
+// projectWarmBlock. The cubic shapes (the fit's default degree, at ambient
+// dimensions 2, 3 and 8) time the SoA lane kernel; the deg=5 shape times
+// the per-row path projectWarmBlock takes for every non-cubic profile.
 func BenchmarkRefineTail(b *testing.B) {
 	const n = 4096
 	for _, tc := range []struct {

@@ -65,8 +65,11 @@ func BenchmarkProjectAllSerialVsParallel(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			opts := Options{Alpha: alpha, Workers: workers}.withDefaults()
+			pool := newProjPool(m.Curve, m.data, opts)
+			defer pool.close()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				projectAll(m.Curve, m.data, scores, resid, opts)
+				pool.project(m.Curve, scores, resid, nil)
 			}
 		})
 	}

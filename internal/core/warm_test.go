@@ -29,6 +29,8 @@ func TestFitWarmStartMatchesCold(t *testing.T) {
 		{"brent", ProjectorBrent, 3, 13},
 		{"gss-deg4", ProjectorGSS, 4, 14},
 		{"gss-deg2", ProjectorGSS, 2, 15},
+		{"gss-deg5", ProjectorGSS, 5, 16},
+		{"newton-deg6", ProjectorNewton, 6, 17},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -21,7 +21,7 @@ import (
 // batches are cheaper serial.
 const concurrencyThreshold = 64
 
-// ErrPoolClosed is returned by ScoreFrame/ScoreBatch when the pool has
+// ErrPoolClosed is returned by ScoreFrame when the pool has
 // been closed — a request racing shutdown. The server maps it to 503 with
 // Retry-After so the client retries against a healthy node instead of
 // having its batch silently stolen by a dying one.
@@ -163,7 +163,7 @@ func (p *Pool) runTask(t poolTask) {
 // production path) it is a single call.
 func (p *Pool) scoreRange(ctx context.Context, sc *core.Scorer, out []float64, f *frame.Frame, lo, hi int) int {
 	if p == nil || p.faults == nil {
-		return scoreFrameRange(ctx, sc, out, f, lo, hi)
+		return sc.ScoreFrameRangeCtx(ctx, out, f, lo, hi)
 	}
 	const faultChunk = 256
 	total := 0
@@ -173,24 +173,13 @@ func (p *Pool) scoreRange(ctx context.Context, sc *core.Scorer, out []float64, f
 			e = hi
 		}
 		p.faults.Fire(faultinject.PointScoreBlock)
-		n := scoreFrameRange(ctx, sc, out, f, b, e)
+		n := sc.ScoreFrameRangeCtx(ctx, out, f, b, e)
 		total += n
 		if n < e-b {
 			break
 		}
 	}
 	return total
-}
-
-// scoreFrameRange dispatches to the cancellable scorer only when there is
-// a context to poll, keeping the uncontended path free of per-block
-// checks.
-func scoreFrameRange(ctx context.Context, sc *core.Scorer, out []float64, f *frame.Frame, lo, hi int) int {
-	if ctx == nil {
-		sc.ScoreFrameRange(out, f, lo, hi)
-		return hi - lo
-	}
-	return sc.ScoreFrameRangeCtx(ctx, out, f, lo, hi)
 }
 
 // Workers returns the pool size.
@@ -320,17 +309,4 @@ func (p *Pool) scoreInlineCancel(bc *batchCancel, tr *obs.Trace, m *core.Model, 
 		return dst, context.Canceled
 	}
 	return dst, nil
-}
-
-// ScoreBatch is ScoreFrame over slice-of-slice rows: the batch is packed
-// into a contiguous frame first (one allocation), then sharded as usual.
-// It exists for callers still holding [][]float64 — the server's stdlib
-// fallback decode path among them; ragged rows score inline via
-// Model.ScoreAll, which surfaces the canonical dimension panic per row.
-func (p *Pool) ScoreBatch(ctx context.Context, m *core.Model, rows [][]float64) ([]float64, error) {
-	f, err := frame.FromRows(rows)
-	if err != nil {
-		return m.ScoreAll(rows), nil
-	}
-	return p.ScoreFrame(ctx, m, f, nil)
 }

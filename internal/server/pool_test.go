@@ -39,14 +39,14 @@ func TestScoreBatchAfterCloseReturnsErrPoolClosed(t *testing.T) {
 		rows[i] = []float64{10 * u, 5*u*u + 1, 3 - 2*u}
 	}
 	pool := NewPool(2)
-	if out, err := pool.ScoreBatch(context.Background(), m, rows); err != nil || len(out) != len(rows) {
+	if out, err := pool.ScoreFrame(context.Background(), m, frame.MustFromRows(rows), nil); err != nil || len(out) != len(rows) {
 		t.Fatalf("pre-close batch: err=%v len=%d", err, len(out))
 	}
 	pool.Close()
 	// A batch after Close (e.g. a request landing during shutdown drain)
 	// must neither panic on the closed channel nor silently score on the
 	// dying node: it fails fast so the server answers 503 + Retry-After.
-	out, err := pool.ScoreBatch(context.Background(), m, rows)
+	out, err := pool.ScoreFrame(context.Background(), m, frame.MustFromRows(rows), nil)
 	if !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("post-close batch: err=%v, want ErrPoolClosed", err)
 	}
@@ -73,11 +73,11 @@ func TestWorkerPanicSurfacesOnCallerNotWorker(t *testing.T) {
 		for i := range good {
 			good[i] = []float64{1, 2, 3}
 		}
-		if out, err := pool.ScoreBatch(context.Background(), m, good); err != nil || len(out) != len(good) {
+		if out, err := pool.ScoreFrame(context.Background(), m, frame.MustFromRows(good), nil); err != nil || len(out) != len(good) {
 			t.Errorf("pool broken after contained panic (err=%v)", err)
 		}
 	}()
-	pool.ScoreBatch(context.Background(), m, rows)
+	pool.ScoreFrame(context.Background(), m, frame.MustFromRows(rows), nil)
 }
 
 func TestPoolConcurrentBatchesDuringClose(t *testing.T) {
@@ -95,7 +95,7 @@ func TestPoolConcurrentBatchesDuringClose(t *testing.T) {
 			defer wg.Done()
 			// Racing Close, a batch either completes in full or fails fast
 			// with ErrPoolClosed; nothing in between, and no panic.
-			out, err := pool.ScoreBatch(context.Background(), m, rows)
+			out, err := pool.ScoreFrame(context.Background(), m, frame.MustFromRows(rows), nil)
 			if err == nil && len(out) != len(rows) {
 				t.Errorf("short result: %d", len(out))
 			}

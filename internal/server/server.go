@@ -888,67 +888,32 @@ func (s *Server) scoreRows(w http.ResponseWriter, tr *obs.Trace, r *http.Request
 		return id, nil, ferr
 	}
 	fr := getFrame()
-	if parseScoreFrame(fr, body, meta.Dim) {
-		// The frame owns the values; the body is done. The fast parser
-		// only yields finite values of the model's dimension (JSON has no
-		// NaN/Inf literals, range errors reject, EndRow enforces width),
-		// so no further row validation is needed; the empty batch still
-		// 400s with the canonical message below.
-		putBuf(&bodyPool, body)
-		defer putFrame(fr)
-		tr.EndStage(obs.StageDecode)
-		if fr.N() > s.opts.MaxBatchRows {
-			return id, nil, badRequest("%d rows exceeds the limit of %d", fr.N(), s.opts.MaxBatchRows)
-		}
-		if fr.N() == 0 {
-			return id, nil, badRequest("invalid rows: %v", order.ValidateFrame(fr, meta.Dim))
-		}
-		if !s.adm.rows.tryAcquire(int64(fr.N())) {
-			s.adm.recordShed(key, shedRows)
-			return id, nil, &shedError{status: http.StatusTooManyRequests, reason: shedRows,
-				msg: "server at its in-flight row budget; retry later"}
-		}
-		defer s.adm.rows.release(int64(fr.N()))
-		tr.EndStage(obs.StageValidate)
-		m, _, err := s.reg.Get(id)
-		if err != nil {
+	defer putFrame(fr)
+	if !parseScoreFrame(fr, body, meta.Dim) {
+		if err := s.decodeRowsFallback(fr, body, meta.Dim); err != nil {
+			putBuf(&bodyPool, body)
 			return id, nil, err
 		}
-		tr.EndStage(obs.StageNormalize)
-		negotiatePrecision(w, wantF32)
-		t0 := time.Now()
-		var serr error
-		scores, serr = s.pool.ScoreFrame(traceCtx(tr), m, fr, getScores())
-		tr.SkipStage() // score wall time is covered by the shard spans
-		if serr != nil {
-			putScores(scores)
-			return id, nil, s.scoreFailed(tr, key, fr.N(), serr)
-		}
-		s.metrics.AddRows(key, len(scores))
-		s.metrics.Model(id).ObserveScore(key, len(scores), time.Since(t0))
-		return id, scores, nil
 	}
-	putFrame(fr)
-	var req ScoreRequest
-	derr := decodeJSONBytes(body, &req)
+	// The frame owns the values; the body is done. The fast parser only
+	// yields finite values of the model's dimension (JSON has no NaN/Inf
+	// literals, range errors reject, EndRow enforces width) and the
+	// fallback validated its rows, so no further row validation is needed;
+	// the empty batch still 400s with the canonical message below.
 	putBuf(&bodyPool, body)
-	if derr != nil {
-		return id, nil, derr
-	}
 	tr.EndStage(obs.StageDecode)
-	rows := req.Rows
-	if len(rows) > s.opts.MaxBatchRows {
-		return id, nil, badRequest("%d rows exceeds the limit of %d", len(rows), s.opts.MaxBatchRows)
+	if fr.N() > s.opts.MaxBatchRows {
+		return id, nil, badRequest("%d rows exceeds the limit of %d", fr.N(), s.opts.MaxBatchRows)
 	}
-	if err := order.ValidateRows(rows, meta.Dim); err != nil {
-		return id, nil, badRequest("invalid rows: %v", err)
+	if fr.N() == 0 {
+		return id, nil, badRequest("invalid rows: %v", order.ValidateFrame(fr, meta.Dim))
 	}
-	if !s.adm.rows.tryAcquire(int64(len(rows))) {
+	if !s.adm.rows.tryAcquire(int64(fr.N())) {
 		s.adm.recordShed(key, shedRows)
 		return id, nil, &shedError{status: http.StatusTooManyRequests, reason: shedRows,
 			msg: "server at its in-flight row budget; retry later"}
 	}
-	defer s.adm.rows.release(int64(len(rows)))
+	defer s.adm.rows.release(int64(fr.N()))
 	tr.EndStage(obs.StageValidate)
 	m, _, err := s.reg.Get(id)
 	if err != nil {
@@ -958,15 +923,37 @@ func (s *Server) scoreRows(w http.ResponseWriter, tr *obs.Trace, r *http.Request
 	negotiatePrecision(w, wantF32)
 	t0 := time.Now()
 	var serr error
-	scores, serr = s.pool.ScoreBatch(traceCtx(tr), m, rows)
-	tr.SkipStage()
+	scores, serr = s.pool.ScoreFrame(traceCtx(tr), m, fr, getScores())
+	tr.SkipStage() // score wall time is covered by the shard spans
 	if serr != nil {
 		putScores(scores)
-		return id, nil, s.scoreFailed(tr, key, len(rows), serr)
+		return id, nil, s.scoreFailed(tr, key, fr.N(), serr)
 	}
 	s.metrics.AddRows(key, len(scores))
 	s.metrics.Model(id).ObserveScore(key, len(scores), time.Since(t0))
 	return id, scores, nil
+}
+
+// decodeRowsFallback is the stdlib decode of a score body the fast parser
+// declined (escapes, unknown fields, malformed or ragged input): decode
+// errors, a batch over the row limit and invalid rows become 400s, and the
+// validated rows are packed into fr.
+func (s *Server) decodeRowsFallback(fr *frame.Frame, body []byte, d int) error {
+	var req ScoreRequest
+	if err := decodeJSONBytes(body, &req); err != nil {
+		return err
+	}
+	if len(req.Rows) > s.opts.MaxBatchRows {
+		return badRequest("%d rows exceeds the limit of %d", len(req.Rows), s.opts.MaxBatchRows)
+	}
+	if err := order.ValidateRows(req.Rows, d); err != nil {
+		return badRequest("invalid rows: %v", err)
+	}
+	fr.Reset(d)
+	for _, row := range req.Rows {
+		fr.AppendRow(row)
+	}
+	return nil
 }
 
 // negotiatePrecision answers a request's X-Precision ask: when the client
